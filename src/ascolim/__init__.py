@@ -1,6 +1,6 @@
 """Desk-scale machinery for homotopy direct limits of ascending unions.
 
-Subpackages and modules:
+Modules:
 
 - ``geometry``        exact/floating scalars, points, affine simplices
 - ``simplicial``      finite geometric complexes, barycentric subdivision,
@@ -18,11 +18,13 @@ Subpackages and modules:
                       experiments
 - ``cli``             reproducible command-line front end
 
-Hot numeric kernels live in ``ascolim._kernels`` with a compiled extension
-selected at import when available and a pure-Python fallback otherwise.
+The three hot integer loops (exact matrix-vector products, pairwise squared
+distances, winding crossings) live in the pure-Python ``ascolim._kernels``;
+``KERNEL_BACKEND`` names that backend in version strings and benchmark
+records.
 """
 
-from ascolim._kernels import KERNEL_BACKEND
+KERNEL_BACKEND = "pure"
 
 __version__ = "0.1.0"
 

@@ -1,15 +1,10 @@
-"""Pure-Python kernels.
+"""Exact integer kernels for the hot inner loops.
 
-These are the reference implementations of the hot inner loops: exact
-rational matrix-vector application (the workhorse behind barycentric
-coordinates, point location and PL evaluation), pairwise squared-distance
-scans (diameters), and signed ray-crossing counts (winding numbers).
-
-All kernels work on integers with shared denominators carried separately,
-so results are exact.  The compiled twin in ``_core.pyx`` implements the
-same contracts with an int64 fast path and raises ``OverflowError`` when
-inputs exceed its guard bounds; the dispatcher then falls back to these
-functions.
+Three loops sit under most of the library's arithmetic: exact rational
+matrix-vector application (behind barycentric coordinates, point location
+and PL evaluation), pairwise squared-distance scans (diameters), and signed
+ray-crossing counts (winding numbers).  Each works on Python integers with
+shared denominators carried separately, so results are exact at any size.
 """
 
 

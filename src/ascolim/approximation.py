@@ -46,6 +46,10 @@ class EngineConfig:
     rounding_denominator: int = 2 ** 40
     seed: int = 0
 
+    def __post_init__(self):
+        if self.t_grid < 1:
+            raise InputError(f"t_grid must be positive, got {self.t_grid}")
+
 
 @dataclass(frozen=True)
 class Constraint:

@@ -13,11 +13,10 @@ import json
 import math
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from ascolim import KERNEL_BACKEND, __version__
 from ascolim import serialization as ser
-from ascolim._kernels import KERNEL_BACKEND
 from ascolim.approximation import EngineConfig, individual_approximation
 from ascolim.direct_limits import set_colimit
 from ascolim.errors import (AbsorptionError, AscolimError, InputError,
@@ -25,10 +24,8 @@ from ascolim.errors import (AbsorptionError, AscolimError, InputError,
 from ascolim.filling import default_anchor, fill
 from ascolim.filtered_spaces import validate_well_filled_chart
 from ascolim.geometry import Simplex
-from ascolim.invariants import (component_union_check, injectivity_leg,
-                                palais_experiment, pi0_report,
-                                pi1_directlimit_experiment,
-                                surjectivity_leg)
+from ascolim.invariants import (component_union_check, palais_experiment,
+                                pi0_report, pi1_directlimit_experiment)
 from ascolim.simplicial import max_diameter_sq, subdivide_until
 
 
@@ -42,8 +39,6 @@ class RunConfig:
     max_subdivision: int = 8
     bisection_depth: int = 40
     probe_per_cell: int = 2
-    tau: float = 1e-9
-    jobs: int = 1
 
     def engine(self):
         return EngineConfig(
@@ -217,18 +212,9 @@ def cmd_experiment(args, config):
                  for a, b in _load(args.pairs)["pairs"]]
 
     if args.kind == "pi1":
-        if config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                legs = list(pool.map(
-                    lambda p: surjectivity_leg(model, p, engine), probes))
-            pair_legs = [injectivity_leg(model, s, t, engine)
-                         for (s, t) in pairs]
-            report = _assemble_pi1(model, legs, pair_legs)
-        else:
-            report = pi1_directlimit_experiment(model, probes, pairs,
-                                                engine)
-            report.pop("legs")
-            report.pop("pair_legs")
+        report = pi1_directlimit_experiment(model, probes, pairs, engine)
+        report.pop("legs")
+        report.pop("pair_legs")
         rows = [{"label": leg["label"],
                  "winding_before": leg["winding_before"],
                  "winding_after": leg["winding_after"],
@@ -259,27 +245,6 @@ def cmd_experiment(args, config):
     raise InputError(f"unknown experiment {args.kind!r}")
 
 
-def _assemble_pi1(model, legs, pair_legs):
-    from ascolim.invariants import pi1_directlimit_experiment
-    # deterministic assembly regardless of schedule; recompute the cheap
-    # summary pieces from the already-computed legs
-    report = pi1_directlimit_experiment(model, [], [], EngineConfig())
-    report["surjectivity"] = [
-        {k: v for k, v in leg.items() if k != "record"} for leg in legs]
-    report["injectivity"] = [
-        {k: v for k, v in leg.items() if k != "record"}
-        for leg in pair_legs]
-    report["all_windings_preserved"] = all(leg["winding_preserved"]
-                                           for leg in legs)
-    report["all_grids_ok"] = all(leg["grid_ok"] for leg in legs) and \
-        all(p["grid_ok"] for p in pair_legs)
-    window = sorted({leg["winding_before"] for leg in legs} | {0})
-    report["winding_window"] = window
-    report.pop("legs", None)
-    report.pop("pair_legs", None)
-    return report
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ascolim",
@@ -290,7 +255,6 @@ def build_parser():
     parser.add_argument("--t-grid", type=int, default=50)
     parser.add_argument("--bake-level", type=int, default=1)
     parser.add_argument("--max-subdivision", type=int, default=8)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--version", action="store_true",
                         help="print version and kernel backend")
     parser.add_argument("--schema", action="store_true",
@@ -359,7 +323,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.version:
-        from ascolim import __version__
         print(f"ascolim {__version__} (kernels: {KERNEL_BACKEND})")
         return 0
     if args.schema and not getattr(args, "fn", None):
@@ -371,8 +334,7 @@ def main(argv=None):
         return 2
     config = RunConfig(seed=args.seed, t_grid=args.t_grid,
                        bake_level=args.bake_level,
-                       max_subdivision=args.max_subdivision,
-                       jobs=args.jobs)
+                       max_subdivision=args.max_subdivision)
     try:
         return args.fn(args, config)
     except InputError as exc:

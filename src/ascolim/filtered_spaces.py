@@ -127,19 +127,9 @@ class FilteredSpaceModel:
     def ambient_dim(self):
         return self.filtration.ambient_dim
 
-    def step_contains(self, label, x):
-        return self.filtration.subspace_contains(label, x) \
-            and self.carrier.contains(x)
-
     def in_m_infinity(self, x):
         return self.filtration.subspace_contains(self.filtration.top, x) \
             and self.carrier.contains(x)
-
-    def membership_index(self, x):
-        """Least step containing ``x``; None if only the ambient space does."""
-        if not self.carrier.contains(x):
-            return None
-        return self.filtration.least_index_supporting(x)
 
     def density_report(self, rng, samples=500):
         """Sampled density of the step union in the carrier at radius rho."""
@@ -221,15 +211,6 @@ class WellFilledChart:
     def core_contains(self, q):
         """Is the model point ``q`` inside the chart core U^(2)?"""
         return self.domain.contains(q) and self.core.contains(self.phi(q))
-
-    def image_step(self, label):
-        return Intersection([self.image,
-                             self.filtration.subspace_region(label)])
-
-    def with_core4(self, v4):
-        return WellFilledChart(self.filtration, self.domain, self.phi,
-                               self.image, self.core, self.alpha0,
-                               core4=v4, label=self.label)
 
     def __repr__(self):
         return f"WellFilledChart({self.label})"

@@ -105,18 +105,3 @@ class Homotopy:
     def slice_at(self, t):
         return FuncMap(lambda x, _t=t: self.fn(tuple(x), _t),
                        exact=self.exact)
-
-
-class PLHomotopy:
-    """Homotopy backed by a PLMap on a prism triangulation of ``|Σ| x [0,1]``."""
-
-    def __init__(self, prism_map):
-        self.prism_map = prism_map
-        self.exact = prism_map.exact
-
-    def __call__(self, x, t):
-        return self.prism_map(tuple(x) + (t,))
-
-    def slice_at(self, t):
-        return FuncMap(lambda x, _t=t: self.prism_map(tuple(x) + (_t,)),
-                       exact=self.exact)

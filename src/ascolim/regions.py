@@ -305,13 +305,6 @@ class Complement(Region):
         return not self.region.contains(x)
 
 
-def _norm_le(vec, bound):
-    """Exact ``|vec| <= bound`` for rational data (square compare)."""
-    if bound < 0:
-        return False
-    return dot(vec, vec) <= bound * bound
-
-
 def region_subset(inner, outer):
     """Symbolic ``inner ⊆ outer``; ``None`` when no rule applies."""
     if isinstance(outer, FullSpace):
@@ -430,9 +423,3 @@ def conv2_subset(inner, outer):
     if inner.is_convex:
         return region_subset(inner, outer)
     return None
-
-
-def minkowski_double_ball(center, radius, open_=True):
-    """``center + Q + Q`` for the balanced ball ``Q`` of the given radius."""
-    cls = OpenBall if open_ else ClosedBall
-    return cls(center, 2 * radius)

@@ -68,13 +68,6 @@ def obj_to_complex(obj):
     return SimplicialComplex(simplices)
 
 
-def carrier_to_obj(carrier):
-    verts = carrier.parent.vertices()
-    index = {tuple(v): i for i, v in enumerate(verts)}
-    return {"simplices": sorted(sorted(index[tuple(v)] for v in s.vertices)
-                                for s in carrier.tops())}
-
-
 def obj_to_carrier(obj, parent):
     verts = parent.vertices()
     sel = [Simplex([verts[i] for i in idx]) for idx in obj["simplices"]]
@@ -253,21 +246,6 @@ def obj_to_loop(obj):
                      label=obj.get("label", "loop"))
 
 
-def set_system_to_obj(system):
-    return {
-        "poset": {
-            "elements": list(system.poset.elements),
-            "relation": [[a, b] for (a, b) in system.poset.related_pairs()],
-        },
-        "objects": {str(a): list(system.objects[a])
-                    for a in system.poset.elements},
-        "bonding": [{"from": a, "to": b,
-                     "map": sorted(map(list, fn.items()))}
-                    for (b, a), fn in sorted(system.bonding.items(),
-                                             key=repr)],
-    }
-
-
 def obj_to_set_system(obj):
     poset = Poset(obj["poset"]["elements"],
                   [tuple(p) for p in obj["poset"]["relation"]])
@@ -281,26 +259,6 @@ def obj_to_set_system(obj):
         bonding[(entry["to"], entry["from"])] = {
             x: y for x, y in entry["map"]}
     return DirectSystemOfSets(poset, objects, bonding)
-
-
-def spec_to_obj(spec):
-    out = []
-    for con in spec:
-        if con.subset == "all":
-            subset = "all"
-        elif isinstance(con.subset, CompactSample):
-            subset = {"kind": "sample",
-                      "points": [point_to_obj(p)
-                                 for p in con.subset.points]}
-        elif isinstance(con.subset, Simplex):
-            subset = {"kind": "simplex",
-                      "vertices": [point_to_obj(v)
-                                   for v in con.subset.vertices]}
-        else:
-            raise InputError("carrier constraints serialize through "
-                             "their parent complex; use simplex lists")
-        out.append({"subset": subset, "region": region_to_obj(con.region)})
-    return {"constraints": out}
 
 
 def obj_to_spec(obj):

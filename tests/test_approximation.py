@@ -232,3 +232,9 @@ def test_ball_chart_fallback_engine():
                                                   t_points=3))
     assert report["a"] and report["h"]
     assert report["d"]["beta"] == 1
+
+
+@pytest.mark.parametrize("t_grid", [0, -1])
+def test_engine_config_rejects_nonpositive_t_grid(t_grid):
+    with pytest.raises(InputError):
+        EngineConfig(t_grid=t_grid)

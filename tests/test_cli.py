@@ -150,7 +150,7 @@ def test_experiment_pi0(tmp_path, capsys):
     assert report["union_check"]["equal"]
 
 
-def test_approximate_subcommand(tmp_path, capsys):
+def _approximate_args(tmp_path):
     filt = Filtration(4, [(1, {0, 1}), (2, {0, 1, 2, 3})])
     model = FilteredSpaceModel(filt, CoordinatePlaneComplement(4, 0, 1))
     corners = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
@@ -168,14 +168,26 @@ def test_approximate_subcommand(tmp_path, capsys):
         "spec": _write(tmp_path, "spec.json", spec),
         "model": _write(tmp_path, "model.json", ser.model_to_obj(model)),
     }
+    return ["approximate",
+            "--complex", paths["complex"], "--map", paths["map"],
+            "--spec", paths["spec"], "--model", paths["model"],
+            "--alpha", "1"]
+
+
+def test_approximate_subcommand(tmp_path, capsys):
     out = str(tmp_path / "record.json")
-    assert main(["--t-grid", "3", "approximate",
-                 "--complex", paths["complex"], "--map", paths["map"],
-                 "--spec", paths["spec"], "--model", paths["model"],
-                 "--alpha", "1", "--out", out]) == 0
+    assert main(["--t-grid", "3"] + _approximate_args(tmp_path)
+                + ["--out", out]) == 0
     record = json.loads(open(out).read())
     assert record["beta"] == "1"
     assert record["grid_ok"]
+
+
+def test_approximate_rejects_zero_t_grid(tmp_path, capsys):
+    assert main(["--t-grid", "0"] + _approximate_args(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "t_grid" in captured.err
 
 
 def test_roundtrips():

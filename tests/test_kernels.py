@@ -1,92 +1,45 @@
-"""Parity between the compiled kernels and their pure-Python twins."""
+"""The exact integer kernels against independent computations."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from ascolim._kernels import pure
-from ascolim import _kernels
-
-try:
-    from ascolim._kernels import _core
-except ImportError:
-    _core = None
-
-needs_core = pytest.mark.skipif(_core is None, reason="extension not built")
+from ascolim._kernels import (matvec_q, max_pairwise_sqdist_q,
+                              winding_crossings_q)
 
 
-def _random_case(rng, span):
-    rows = rng.randint(1, 6)
-    cols = rng.randint(1, 6)
-    mat = [[rng.randint(-span, span) for _ in range(cols)]
-           for _ in range(rows)]
-    vec = [rng.randint(-span, span) for _ in range(cols)]
-    return mat, vec
-
-
-@needs_core
-def test_matvec_parity():
+def test_matvec_matches_fraction_arithmetic():
     rng = random.Random(1)
     for _ in range(200):
-        mat, vec = _random_case(rng, 10_000)
-        assert _core.matvec_q(mat, 7, vec, 3) == pure.matvec_q(mat, 7, vec, 3)
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        mat = [[rng.randint(-10_000, 10_000) for _ in range(cols)]
+               for _ in range(rows)]
+        vec = [rng.randint(-10_000, 10_000) for _ in range(cols)]
+        nums, den = matvec_q(mat, 7, vec, 3)
+        want = [sum(Fraction(m, 7) * Fraction(v, 3)
+                    for m, v in zip(row, vec)) for row in mat]
+        assert [Fraction(n, den) for n in nums] == want
 
 
-@needs_core
-def test_matvec_overflow_raises_and_dispatcher_falls_back():
+def test_matvec_exact_past_int64():
     big = 2 ** 40
-    mat = [[big, big]]
-    vec = [big, big]
-    with pytest.raises(OverflowError):
-        _core.matvec_q(mat, 1, vec, 1)
-    assert _kernels.matvec_q(mat, 1, vec, 1) == pure.matvec_q(mat, 1, vec, 1)
+    assert matvec_q([[big, big]], 1, [big, big], 1) == ((2 ** 81,), 1)
 
 
-@needs_core
-def test_sqdist_parity():
-    rng = random.Random(2)
-    for _ in range(100):
-        n = rng.randint(1, 8)
-        dim = rng.randint(1, 6)
-        pts = [tuple(rng.randint(-500, 500) for _ in range(dim))
-               for _ in range(n)]
-        assert _core.max_pairwise_sqdist_q(pts) == pure.max_pairwise_sqdist_q(pts)
-
-
-@needs_core
-def test_sqdist_overflow_falls_back():
-    pts = [(0, 0), (2 ** 33, 2 ** 33)]
-    with pytest.raises(OverflowError):
-        _core.max_pairwise_sqdist_q(pts)
-    assert _kernels.max_pairwise_sqdist_q(pts) == 2 ** 67
-
-
-@needs_core
-def test_winding_parity_random_polygons():
-    rng = random.Random(3)
-    for _ in range(200):
-        n = rng.randint(3, 12)
-        xs = [rng.randint(-50, 50) for _ in range(n)]
-        ys = [rng.randint(-50, 50) for _ in range(n)]
-        for d in [(1, 0), (3, 1), (1, 7)]:
-            try:
-                want = pure.winding_crossings_q(xs, ys, *d)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    _core.winding_crossings_q(xs, ys, *d)
-                continue
-            assert _core.winding_crossings_q(xs, ys, *d) == want
+def test_sqdist_exact_past_int64():
+    assert max_pairwise_sqdist_q([(0, 0), (2 ** 33, 2 ** 33)]) == 2 ** 67
 
 
 def test_winding_square_loop():
     # angles along (1,1) -> (-1,1) -> (-1,-1) -> (1,-1) increase: ccw, +1
     xs = [1, -1, -1, 1]
     ys = [1, 1, -1, -1]
-    assert pure.winding_crossings_q(xs, ys, 2, 1) == 1
-    assert pure.winding_crossings_q(list(reversed(xs)), list(reversed(ys)),
-                                    2, 1) == -1
+    assert winding_crossings_q(xs, ys, 2, 1) == 1
+    assert winding_crossings_q(list(reversed(xs)), list(reversed(ys)),
+                               2, 1) == -1
 
 
 def test_winding_vertex_on_ray_detected():
     with pytest.raises(ValueError):
-        pure.winding_crossings_q([1, -1, 0], [0, 1, -1], 1, 0)
+        winding_crossings_q([1, -1, 0], [0, 1, -1], 1, 0)
