@@ -49,6 +49,11 @@ class EngineConfig:
     def __post_init__(self):
         if self.t_grid < 1:
             raise InputError(f"t_grid must be positive, got {self.t_grid}")
+        for name in ("bake_level", "max_subdivision"):
+            value = getattr(self, name)
+            if value < 0:
+                raise InputError(
+                    f"{name} must not be negative, got {value}")
 
 
 @dataclass(frozen=True)

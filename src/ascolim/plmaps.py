@@ -2,8 +2,10 @@
 
 A ``PLMap`` stores one value per vertex of its domain complex and
 evaluates by exact point location plus barycentric combination, so
-composition with exact inputs stays exact.  ``FuncMap`` wraps an arbitrary
-callable behind the same evaluation interface.  ``bake`` turns any
+composition with exact inputs stays exact.  An exact map has one value
+at each point, whichever simplex carries it, so its values at exact
+non-vertex points are memoized.  ``FuncMap`` wraps an arbitrary callable
+behind the same evaluation interface.  ``bake`` turns any
 evaluator into a ``PLMap`` on a chosen refinement of its domain.
 """
 
@@ -28,6 +30,7 @@ class PLMap:
             raise InputError("PL values of mixed target dimension")
         self.target_dim = lengths.pop()
         self.exact = all(point_is_exact(v) for v in self.values.values())
+        self._memo = {}
 
     def eval_located(self, simplex, coords):
         """Value at the point of ``simplex`` with barycentric ``coords``."""
@@ -39,14 +42,25 @@ class PLMap:
         value = self.values.get(key)
         if value is not None:
             return value
+        # a float point hashes like its exact twin, and a float sum
+        # depends on the simplex it is combined in: neither is memoized
+        memo = self._memo if self.exact and point_is_exact(key) else None
+        if memo is not None:
+            value = memo.get(key)
+            if value is not None:
+                return value
         if hint is not None:
             coords = hint.barycentric(key)
             if not isinstance(coords, Outside):
-                return self.eval_located(hint, coords)
-        hit = self.domain.locate(key)
-        if hit is None:
-            raise InputError(f"point {x!r} outside the PL domain")
-        return self.eval_located(*hit)
+                value = self.eval_located(hint, coords)
+        if value is None:
+            hit = self.domain.locate(key)
+            if hit is None:
+                raise InputError(f"point {x!r} outside the PL domain")
+            value = self.eval_located(*hit)
+        if memo is not None:
+            memo[key] = value
+        return value
 
     def vertex_value(self, v):
         return self.values[tuple(v)]

@@ -107,7 +107,10 @@ class HalfSpace(Region):
             else offset
         self.strict = strict
         self.dim = len(self.normal)
-        if all(c == 0 for c in self.normal):
+        # the normals of chart surgery have few nonzero entries
+        self._terms = tuple((i, c) for i, c in enumerate(self.normal)
+                            if c != 0)
+        if not self._terms:
             raise InputError("zero normal")
 
     @property
@@ -115,7 +118,10 @@ class HalfSpace(Region):
         return self.strict
 
     def contains(self, x):
-        v = dot(self.normal, x)
+        if len(x) != self.dim:
+            raise InputError(
+                f"point dimension {len(x)} != halfspace dimension {self.dim}")
+        v = sum(c * x[i] for i, c in self._terms)
         return v > self.offset if self.strict else v >= self.offset
 
     def translate(self, shift):

@@ -12,14 +12,21 @@ from itertools import combinations
 
 from ascolim import linalg
 from ascolim.errors import InputError, ResolutionExceededError
-from ascolim.geometry import (Outside, Simplex, diameter_sq, vsub)
+from ascolim.geometry import (Outside, Simplex, diameter_sq, point_is_exact,
+                              vsub)
 from ascolim.rats import RAT
 
 
 class SimplicialComplex:
-    """Face-closed finite set of simplices in a common ambient space."""
+    """Face-closed finite set of simplices in a common ambient space.
 
-    __slots__ = ("simplices", "dim", "rank", "_tops", "_by_key")
+    A complex is immutable after construction, so its top cells, its
+    vertex list and the answer of ``locate`` at each exact point are
+    computed once and kept.
+    """
+
+    __slots__ = ("simplices", "dim", "rank", "_tops", "_by_key",
+                 "_vertices", "_located")
 
     def __init__(self, simplices, close=True):
         gen = list(simplices)
@@ -46,6 +53,8 @@ class SimplicialComplex:
         self.dim = dim
         self.rank = max(s.rank for s in self.simplices)
         self._tops = None
+        self._vertices = None
+        self._located = {}
 
     def tops(self):
         """Simplices that are not a proper face of another member."""
@@ -63,10 +72,13 @@ class SimplicialComplex:
         return self._tops
 
     def vertices(self):
-        out = set()
-        for s in self.simplices:
-            out.update(s.vertices)
-        return sorted(out)
+        """Sorted vertex list; a fresh list, so callers may mutate it."""
+        if self._vertices is None:
+            out = set()
+            for s in self.simplices:
+                out.update(s.vertices)
+            self._vertices = sorted(out)
+        return list(self._vertices)
 
     def __contains__(self, simplex):
         return simplex.key in self._by_key
@@ -75,15 +87,29 @@ class SimplicialComplex:
         return len(self.simplices)
 
     def contains_point(self, x):
-        return any(top.contains(x) for top in self.tops())
+        return self.locate(x) is not None
 
     def locate(self, x):
-        """A top simplex containing ``x`` together with its coordinates."""
+        """A top simplex containing ``x`` together with its coordinates.
+
+        The first hit in ``tops()`` order.  Answers at exact points are
+        memoized; a float point bypasses the memo, since it hashes and
+        compares equal to its exact twin but gets float coordinates and
+        the tolerance verdicts of the float lane.
+        """
+        x = tuple(x)
+        exact = point_is_exact(x)
+        if exact and x in self._located:
+            return self._located[x]
+        hit = None
         for top in self.tops():
             coords = top.barycentric(x)
             if not isinstance(coords, Outside):
-                return top, coords
-        return None
+                hit = (top, coords)
+                break
+        if exact:
+            self._located[x] = hit
+        return hit
 
     def skeleton(self, max_rank):
         """Subcomplex of all simplices of rank at most ``max_rank``."""
@@ -306,7 +332,6 @@ class SubdividedComplex:
 
     def root(self, simplex):
         """Minimal base-complex simplex carrying ``simplex``."""
-        key = simplex.key
         current = simplex
         for par in reversed(self.parents):
             current = par[current.key]
@@ -378,16 +403,12 @@ class SubcomplexCarrier:
                    for t in self.selected)
 
     def contains_point(self, x):
-        return any(s.contains(x) for s in self.selected if s in _tops(self))
+        return any(s.contains(x) for s in self.tops())
 
     def tops(self):
         keys = {s.key for s in self.selected}
         return [s for s in self.selected
                 if not any(s.key < t for t in keys if t != s.key)]
-
-
-def _tops(carrier):
-    return set(carrier.tops())
 
 
 # -- prisms ---------------------------------------------------------------

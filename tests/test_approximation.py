@@ -238,3 +238,10 @@ def test_ball_chart_fallback_engine():
 def test_engine_config_rejects_nonpositive_t_grid(t_grid):
     with pytest.raises(InputError):
         EngineConfig(t_grid=t_grid)
+
+
+@pytest.mark.parametrize("field", ["bake_level", "max_subdivision"])
+def test_engine_config_rejects_negative_levels(field):
+    with pytest.raises(InputError):
+        EngineConfig(**{field: -1})
+    assert getattr(EngineConfig(**{field: 0}), field) == 0

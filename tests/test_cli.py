@@ -190,6 +190,13 @@ def test_approximate_rejects_zero_t_grid(tmp_path, capsys):
     assert "t_grid" in captured.err
 
 
+def test_approximate_rejects_negative_bake_level(tmp_path, capsys):
+    assert main(["--bake-level", "-1"] + _approximate_args(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bake_level" in captured.err
+
+
 def test_roundtrips():
     filt = Filtration(3, [(1, {0}), (2, {0, 1, 2})])
     model = FilteredSpaceModel(filt, OpenBall((F(0),) * 3, 2),

@@ -8,6 +8,7 @@ import pytest
 from ascolim.approximation import EngineConfig
 from ascolim.errors import InputError
 from ascolim.filtered_spaces import FilteredSpaceModel, Filtration
+from ascolim.geometry import Simplex
 from ascolim.invariants import (ComponentModel, LoopModel,
                                 component_union_check, cyclic_vertex_order,
                                 injectivity_leg, pi0_report,
@@ -15,6 +16,7 @@ from ascolim.invariants import (ComponentModel, LoopModel,
                                 palais_experiment, polygon_domain,
                                 surjectivity_leg, winding_number)
 from ascolim.regions import CoordinatePlaneComplement, OpenBall, Union
+from ascolim.simplicial import SimplicialComplex
 
 F = Fraction
 
@@ -112,6 +114,33 @@ def test_injectivity_leg_rejects_unequal_winding():
     tau = unit_square_loop(dim=4, reps=2)
     with pytest.raises(InputError):
         injectivity_leg(model, sigma, tau, FAST)
+
+
+def test_surjectivity_leg_exact_solve_count(monkeypatch):
+    # machine-independent budget on the README's square model with default
+    # settings: memoized point location needs 2029 exact barycentric
+    # solves (11452 when every query rescans the complex), and memoized PL
+    # values 1260 complex locates (1560 without)
+    model = plane_model(8, [(2, {0, 1}), (4, {0, 1, 2, 3})])
+    probe = unit_square_loop(dim=8, reps=3)
+    calls = {"_barycentric_exact": 0, "locate": 0}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(Simplex, "_barycentric_exact")
+    count(SimplicialComplex, "locate")
+    leg = surjectivity_leg(model, probe)
+    assert leg["winding_before"] == leg["winding_after"] == 3
+    assert leg["beta"] == 2 and leg["grid_ok"]
+    assert 0 < calls["_barycentric_exact"] <= 2100
+    assert 0 < calls["locate"] <= 1300
 
 
 def test_pi1_experiment_report():

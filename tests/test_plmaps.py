@@ -1,0 +1,59 @@
+"""PL maps: exact evaluation, hints and the memo of point values."""
+
+import random
+from fractions import Fraction
+
+from ascolim.geometry import Simplex
+from ascolim.plmaps import PLMap
+from ascolim.simplicial import SimplicialComplex, barycentric_subdivide
+
+F = Fraction
+
+
+def _random_map(rng, cx, target_dim=3):
+    return {tuple(v): tuple(F(rng.randint(-9, 9), rng.randint(1, 4))
+                            for _ in range(target_dim))
+            for v in cx.vertices()}
+
+
+def _face_points(rng, cx, count):
+    """``(point, weights, face vertices)`` on faces of ``cx``'s tops."""
+    tops = cx.tops()
+    out = []
+    for _ in range(count):
+        cell = tops[rng.randrange(len(tops))]
+        k = rng.randint(2, cell.rank)
+        verts = rng.sample(cell.vertices, k)
+        w = [F(rng.randint(1, 5)) for _ in range(k)]
+        total = sum(w)
+        w = [wi / total for wi in w]
+        x = tuple(sum(wi * v[d] for wi, v in zip(w, verts))
+                  for d in range(cx.dim))
+        out.append((x, w, verts))
+    return out
+
+
+def test_value_independent_of_hint_on_shared_faces():
+    rng = random.Random(37)
+    cx = barycentric_subdivide(SimplicialComplex(
+        [Simplex([(0, 0), (2, 0), (0, 2)]), Simplex([(2, 0), (0, 2), (2, 2)])]))
+    values = _random_map(rng, cx)
+    shared = 0
+    for x, w, verts in _face_points(rng, cx, 120):
+        want = tuple(sum(wi * values[v][d] for wi, v in zip(w, verts))
+                     for d in range(3))
+        carriers = [t for t in cx.tops() if t.contains(x)]
+        shared += len(carriers) > 1
+        memoized = PLMap(cx, values)
+        for hint in [None] + carriers:
+            assert memoized(x, hint=hint) == want
+            assert PLMap(cx, values)(x, hint=hint) == want
+    assert shared > 20
+
+
+def test_float_point_after_exact_point_gets_float_value():
+    cx = SimplicialComplex([Simplex([(0, 0), (1, 0), (0, 1)])])
+    gamma = PLMap(cx, {(0, 0): (0,), (1, 0): (1,), (0, 1): (3,)})
+    assert gamma((F(1, 2), F(1, 4))) == (F(5, 4),)
+    value = gamma((0.5, 0.25))
+    assert value == (1.25,) and type(value[0]) is float

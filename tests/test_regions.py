@@ -7,7 +7,7 @@ import pytest
 
 from ascolim.convexity import FinitePointSet, hull_contains
 from ascolim.errors import InputError
-from ascolim.geometry import Simplex
+from ascolim.geometry import Simplex, dot
 from ascolim.regions import (AffineSubspace, ClosedBall, Complement,
                              CoordinatePlaneComplement, FullSpace, HalfSpace,
                              Intersection, OpenBall, Translate, Union,
@@ -29,6 +29,38 @@ def test_halfspace_membership_and_translate():
     assert not hs.strict or hs.is_open
     moved = hs.translate((1, 1))
     assert moved.contains((F(7, 2), 0)) and not moved.contains((3, 0))
+
+
+def test_halfspace_sparse_membership_matches_dense_dot():
+    rng = random.Random(31)
+    verdicts = set()
+    for _ in range(300):
+        dim = rng.randint(1, 8)
+        normal = [F(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+                  if rng.random() < 0.4 else F(0) for _ in range(dim)]
+        if all(c == 0 for c in normal):
+            normal[rng.randrange(dim)] = F(1)
+        offset = F(rng.randint(-4, 4), rng.choice([1, 2]))
+        x = [F(rng.randint(-4, 4), rng.choice([1, 2, 4])) for _ in range(dim)]
+        if rng.random() < 0.3:  # move x onto the boundary hyperplane
+            k = next(i for i, c in enumerate(normal) if c != 0)
+            x[k] += (offset - dot(normal, x)) / normal[k]
+            assert dot(normal, x) == offset
+        for strict in (True, False):
+            got = HalfSpace(normal, offset, strict).contains(tuple(x))
+            v = dot(normal, x)
+            assert got is (v > offset if strict else v >= offset)
+            verdicts.add((strict, got, v == offset))
+    assert {(True, False, True), (False, True, True)} <= verdicts
+    assert {(s, g, False) for s in (True, False)
+            for g in (True, False)} <= verdicts
+
+
+@pytest.mark.parametrize("normal, point", [((1, 0), (1,)),
+                                           ((1,), (1, -5))])
+def test_halfspace_rejects_point_of_wrong_dimension(normal, point):
+    with pytest.raises(InputError):
+        HalfSpace(normal, 0).contains(point)
 
 
 def test_affine_subspace_membership():

@@ -237,3 +237,92 @@ def test_subdivided_complex_roots_and_location():
     root = tree.root(cell)
     assert root in cx
     assert all(root.contains(v) for v in cell.vertices)
+
+
+def _seeded_points(rng, cx, count):
+    """Interior, shared-face, vertex and outside points of ``cx``."""
+    tops = cx.tops()
+    points = []
+    for _ in range(count):
+        cell = tops[rng.randrange(len(tops))]
+        kind = rng.randrange(4)
+        if kind == 0:  # a vertex, shared by several tops
+            points.append(cell.vertices[rng.randrange(cell.rank)])
+            continue
+        w = [F(rng.randint(1, 6)) for _ in range(cell.rank)]
+        if kind == 1:  # on a facet, shared with a neighbour or the boundary
+            w[rng.randrange(cell.rank)] = F(0)
+        x = tuple(sum(wi * v[d] for wi, v in zip(w, cell.vertices)) / sum(w)
+                  for d in range(cx.dim))
+        if kind == 3:  # pushed outside the unit triangle
+            x = (x[0] + 1, x[1])
+        points.append(x)
+    return points
+
+
+def test_memoized_locate_matches_fresh_scan():
+    rng = random.Random(23)
+    tree = SubdividedComplex(SimplicialComplex([UNIT_TRIANGLE]))
+    tree.refine(2)
+    cx = tree.final
+    points = _seeded_points(rng, cx, 150)
+    queries = points + points[::-1]  # every point asked at least twice
+    outcomes = set()
+    for x in queries:
+        got = cx.locate(x)
+        # an identical complex that has answered nothing yet scans
+        fresh = SimplicialComplex(cx.simplices, close=False)
+        want = fresh.locate(x)
+        outcomes.add(want is None)
+        if want is None:
+            assert got is None
+            assert not cx.contains_point(x)
+            continue
+        assert got[0].key == want[0].key  # the first hit in tops() order
+        assert got[1] == want[1]
+        assert all(type(c) is F for c in got[1])
+        assert cx.contains_point(x)
+    assert outcomes == {True, False}
+
+
+def test_float_query_after_exact_query_keeps_float_lane():
+    cx = SimplicialComplex([UNIT_TRIANGLE])
+    inside = (F(1, 2), F(1, 4))
+    assert all(type(c) is F for c in cx.locate(inside)[1])
+    hit = cx.locate((0.5, 0.25))
+    assert hit is not None
+    assert all(type(c) is float for c in hit[1])
+    # outside by 2^-40: exactly outside, inside within the float tolerance
+    near = (F(-1, 2 ** 40), F(1, 2))
+    assert cx.locate(near) is None
+    assert not cx.contains_point(near)
+    twin = (-2.0 ** -40, 0.5)
+    assert twin == near and hash(twin) == hash(near)
+    hit = cx.locate(twin)
+    assert hit is not None and all(type(c) is float for c in hit[1])
+    assert cx.contains_point(twin)
+    assert cx.locate(near) is None  # the float answer was not memoized
+
+
+def test_vertices_returns_a_fresh_list():
+    cx = barycentric_subdivide(SimplicialComplex([UNIT_TRIANGLE]))
+    first = cx.vertices()
+    expected = list(first)
+    first.append((F(9), F(9)))
+    first.reverse()
+    assert cx.vertices() == expected
+    assert cx.vertices() is not cx.vertices()
+
+
+def test_carrier_contains_point_is_union_of_selected_tops():
+    rng = random.Random(29)
+    cx = barycentric_subdivide(SimplicialComplex([UNIT_TRIANGLE]))
+    chosen = [s for s in cx.tops()][:2]
+    carrier = SubcomplexCarrier(cx, chosen)
+    assert {s.key for s in carrier.tops()} == {s.key for s in chosen}
+    verdicts = set()
+    for x in _seeded_points(rng, cx, 60):
+        got = carrier.contains_point(x)
+        assert got == any(s.contains(x) for s in chosen)
+        verdicts.add(got)
+    assert verdicts == {True, False}
