@@ -1,7 +1,11 @@
 """CLI surface: schemas, subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from ascolim import serialization as ser
 from ascolim.cli import main
@@ -209,3 +213,33 @@ def test_roundtrips():
                      axis=(0, 1))
     back = ser.obj_to_loop(json.loads(ser.dumps(ser.loop_to_obj(loop))))
     assert back.vertices == loop.vertices and back.axis == loop.axis
+
+
+def _golden_runs(tmp_path):
+    """CLI argument lists whose stdout is pinned under ``tests/data``."""
+    paths = _pi1_fixture(tmp_path)
+    return {
+        "approximate_t3.json": ["--t-grid", "3"]
+        + _approximate_args(tmp_path),
+        "pi1_t4.json": ["--t-grid", "4", "experiment", "pi1",
+                        "--model", paths["model"],
+                        "--probes", paths["probes"]],
+    }
+
+
+def test_reports_match_golden_files(tmp_path):
+    """Reports are byte-identical to the pinned ones under several hash
+    seeds, so neither a code change nor set ordering moves a byte."""
+    data = Path(__file__).parent / "data"
+    src = str(Path(__file__).parent.parent / "src")
+    for name, args in _golden_runs(tmp_path).items():
+        expected = (data / name).read_bytes()
+        for hash_seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-m", "ascolim.cli"] + args,
+                capture_output=True, env=env, timeout=300)
+            assert run.returncode == 0, run.stderr
+            assert run.stderr == b""
+            assert run.stdout == expected, (name, hash_seed)
