@@ -15,6 +15,7 @@ exact support certificates.
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from ascolim.errors import (AbsorptionError, ChartCoverError, InputError,
@@ -60,13 +61,19 @@ class EngineConfig:
 class Constraint:
     """One ``image of subset inside region`` requirement.
 
-    ``subset`` is ``"all"`` (the whole carrier), a ``Simplex``, a
-    ``SubcomplexCarrier`` of the domain, or a ``CompactSample`` of domain
-    points.
+    ``subset`` is ``"all"`` (the whole carrier), a ``Simplex`` of the
+    domain, or a ``CompactSample`` of domain points.
     """
 
     subset: object
     region: Region
+
+    def __post_init__(self):
+        if not isinstance(self.subset, (Simplex, CompactSample)) \
+                and self.subset != "all":
+            raise InputError(
+                "a constraint subset is 'all', a Simplex or a "
+                f"CompactSample, got {self.subset!r}")
 
     def meets_simplex(self, simplex):
         """Does the subset meet a subdivision cell?
@@ -79,18 +86,14 @@ class Constraint:
         if isinstance(self.subset, CompactSample):
             return any(not isinstance(simplex.barycentric(p), Outside)
                        for p in self.subset.points)
-        if isinstance(self.subset, Simplex):
-            return any(self.subset.contains(v) for v in simplex.vertices)
-        return any(self.subset.contains_point(v) for v in simplex.vertices)
+        return any(self.subset.contains(v) for v in simplex.vertices)
 
     def domain_contains(self, x):
         if self.subset == "all":
             return True
         if isinstance(self.subset, CompactSample):
             return tuple(x) in {tuple(p) for p in self.subset.points}
-        if isinstance(self.subset, Simplex):
-            return self.subset.contains(x)
-        return self.subset.contains_point(x)
+        return self.subset.contains(x)
 
     def domain_sqdist(self, x):
         """Exact squared distance from ``x`` to the subset (None: whole)."""
@@ -98,10 +101,7 @@ class Constraint:
             return None
         if isinstance(self.subset, CompactSample):
             return min(sqdist(x, p) for p in self.subset.points)
-        if isinstance(self.subset, Simplex):
-            return sqdist_point_simplex(x, self.subset)
-        return min(sqdist_point_simplex(x, s)
-                   for s in self.subset.tops())
+        return sqdist_point_simplex(x, self.subset)
 
 
 class NeighborhoodSpec:
@@ -146,62 +146,48 @@ def _is_pl(fn):
     return isinstance(fn, PLMap)
 
 
-def _cell_inside(subset, cell):
-    if subset == "all":
-        return True
-    if isinstance(subset, Simplex):
-        return all(subset.contains(v) for v in cell.vertices)
-    return subset.contains_simplex(cell)
+def _image_inside(region, fn, cell, hull_ok, rng, samples):
+    """Does ``fn`` map the simplex ``cell`` into ``region``?
+
+    The exact hull test when ``hull_ok`` and the region algebra decides;
+    otherwise the vertex images plus ``samples`` seeded probes drawn from
+    ``rng``.  Returns ``(verdict, decided_by_hull)``.
+    """
+    values = _map_values(fn, cell)
+    got = region.contains_hull(values) if hull_ok else None
+    if got is not None:
+        return got, True
+    if any(not region.contains(v) for v in values):
+        return False, False
+    for _ in range(samples):
+        w = _random_weights(rng, cell.rank)
+        if not region.contains(fn(combine(cell.vertices, w))):
+            return False, False
+    return True, False
 
 
 def _check_constraint(complex_, fn, con, rng, samples):
     """Membership in one ``image of K inside W`` constraint.
 
-    Only the image of K matters, so hull checks run over the cells of the
-    complex contained in K; when K is finer than every cell (single
-    vertices, unrefined carriers) the subset's own vertex set plus probes
-    is checked pointwise.
+    Only the image of K matters, so the cell-image check runs over the
+    cells of the complex contained in K; when K is finer than every cell
+    (a single vertex, an unrefined simplex) it runs on K itself.
     """
     if isinstance(con.subset, CompactSample):
         return all(con.region.contains(fn(p))
                    for p in con.subset.points), "exact"
-    exact = True
+    subset = con.subset
+    cells = complex_.tops() if subset == "all" else [
+        cell for cell in complex_.tops()
+        if all(subset.contains(v) for v in cell.vertices)] or [subset]
     hull_ok = _is_pl(fn)
-    covered = False
-    for cell in complex_.tops():
-        if not _cell_inside(con.subset, cell):
-            continue
-        covered = True
-        values = _map_values(fn, cell)
-        got = con.region.contains_hull(values) if hull_ok else None
-        if got is False:
-            return False, "exact"
-        if got is None:
-            exact = False
-            if any(not con.region.contains(v) for v in values):
-                return False, "sampled"
-            for _ in range(samples):
-                w = _random_weights(rng, cell.rank)
-                x = combine(cell.vertices, w)
-                if not con.region.contains(fn(x)):
-                    return False, "sampled"
-    if not covered:
-        pieces = [con.subset] if isinstance(con.subset, Simplex) \
-            else list(con.subset.tops())
-        for piece in pieces:
-            values = [tuple(fn(v)) for v in piece.vertices]
-            got = con.region.contains_hull(values) if hull_ok else None
-            if got is False:
-                return False, "exact"
-            if got is None:
-                exact = False
-                if any(not con.region.contains(v) for v in values):
-                    return False, "sampled"
-                for _ in range(samples):
-                    w = _random_weights(rng, piece.rank)
-                    if not con.region.contains(
-                            fn(combine(piece.vertices, w))):
-                        return False, "sampled"
+    exact = True
+    for cell in cells:
+        ok, by_hull = _image_inside(con.region, fn, cell, hull_ok, rng,
+                                    samples)
+        if not ok:
+            return False, "exact" if by_hull else "sampled"
+        exact = exact and by_hull
     return True, "exact" if exact else "sampled"
 
 
@@ -352,9 +338,12 @@ class ThetaEngine:
         self.model = model
         self.config = config
 
-    @property
-    def complex(self):
-        return self.tree.final
+    @cached_property
+    def grid_complex(self):
+        """``bsd^bake_level`` of the final complex, built once: every
+        time slice and the endpoint are baked on it."""
+        return SubdividedComplex(self.tree.final).refine(
+            self.config.bake_level).final
 
     def locate(self, x, hint=None):
         top = self.tree.locate_final(x, base_hint=hint)
@@ -445,10 +434,7 @@ class BoundTheta:
         return self.engine.theta(self, tuple(x), to_rat(t), hint=hint)
 
     def final_map(self):
-        return FuncMap(lambda x: self(x, 1), exact=True)
-
-    def slice_at(self, t):
-        return FuncMap(lambda x, _t=to_rat(t): self(x, _t), exact=True)
+        return FuncMap(lambda x: self(x, 1))
 
 
 def bake_on(complex_, fn):
@@ -456,6 +442,25 @@ def bake_on(complex_, fn):
     fn = as_evaluator(fn)
     values = {tuple(v): tuple(fn(v)) for v in complex_.vertices()}
     return PLMap(complex_, values)
+
+
+def _certify_grid(engine, homotopy, n, seed):
+    """Check each time slice ``t = k/n`` of ``homotopy`` against the
+    engine's spec.
+
+    Each slice is baked on the engine's grid complex and checked with a
+    fresh ``random.Random(seed)``; returns one ``{"t", "ok", "details"}``
+    report per slice.
+    """
+    grid = engine.grid_complex
+    reports = []
+    for k in range(n + 1):
+        t = RAT(k, n)
+        baked_slice = bake_on(grid, lambda x, _t=t: homotopy(x, _t))
+        ok, details = engine.spec.check_map(grid, baked_slice,
+                                            rng=random.Random(seed))
+        reports.append({"t": str(t), "ok": ok, "details": details})
+    return reports
 
 
 # -- engine construction ------------------------------------------------------
@@ -486,22 +491,11 @@ def _cell_regions_for(tree, spec, ambient_dim):
 
 def _constraints_hold(tree, gamma0, cell_regions, rng, probes):
     hull_ok = _is_pl(gamma0)
-    for cell in tree.final.tops():
-        region = cell_regions[cell.key]
-        if isinstance(region, FullSpace):
-            continue
-        values = _map_values(gamma0, cell)
-        got = region.contains_hull(values) if hull_ok else None
-        if got is False:
-            return False
-        if got is None:
-            if any(not region.contains(v) for v in values):
-                return False
-            for _ in range(probes):
-                w = _random_weights(rng, cell.rank)
-                if not region.contains(gamma0(combine(cell.vertices, w))):
-                    return False
-    return True
+    return all(
+        _image_inside(cell_regions[cell.key], gamma0, cell, hull_ok, rng,
+                      probes)[0]
+        for cell in tree.final.tops()
+        if not isinstance(cell_regions[cell.key], FullSpace))
 
 
 def _charts_fit(tree, gamma0, cell_regions, provider, config):
@@ -864,29 +858,14 @@ def individual_approximation(complex_, gamma0, spec, relative, model,
         bound_final = BoundTheta(engine, lambda z: g_map(z, 1))
 
     eta = bound_final.final_map()
-    grid_tree = SubdividedComplex(engine.tree.final)
-    if config.bake_level:
-        grid_tree.refine(config.bake_level)
-    eta_baked = bake_on(grid_tree.final, eta)
-
-    beta = alpha
-    for value in eta_baked.values.values():
-        least = filt.least_index_supporting(value, at_least=alpha)
-        if least is None:
-            raise AbsorptionError("endpoint escapes every step",
-                                  witness=value)
-        if filt.position(least) > filt.position(beta):
-            beta = least
-
-    grid_reports = []
-    n = config.t_grid
-    for k in range(n + 1):
-        t = RAT(k, n)
-        baked_slice = bake_on(grid_tree.final,
-                              lambda x, _t=t: homotopy(x, _t))
-        ok, details = spec.check_map(grid_tree.final, baked_slice,
-                                     rng=random.Random(config.seed))
-        grid_reports.append({"t": str(t), "ok": ok, "details": details})
+    eta_baked = bake_on(engine.grid_complex, eta)
+    beta, escaped = filt.absorbing_step(eta_baked.values.values(),
+                                        at_least=alpha)
+    if escaped is not None:
+        raise AbsorptionError("endpoint escapes every step",
+                              witness=escaped)
+    grid_reports = _certify_grid(engine, homotopy, config.t_grid,
+                                 config.seed)
 
     return HomotopyRecord(
         homotopy=homotopy,
@@ -970,20 +949,9 @@ def verify_theta_properties(engine, gamma, plan=None, constant_cells=None):
                     const_ok = False
         report["g"] = const_ok
 
-    grid_tree = SubdividedComplex(engine.tree.final)
-    if engine.config.bake_level:
-        grid_tree.refine(engine.config.bake_level)
-    grid_ok = True
-    grid_details = []
-    for t in t_grid:
-        baked_slice = bake_on(grid_tree.final,
-                              lambda x, _t=t: session(x, _t))
-        ok, _ = engine.spec.check_map(grid_tree.final, baked_slice,
-                                      rng=random.Random(plan.seed))
-        grid_ok = grid_ok and ok
-        grid_details.append({"t": str(t), "ok": ok})
-    report["b"] = grid_ok
-    report["b_details"] = grid_details
+    grid = _certify_grid(engine, session, plan.t_points, plan.seed)
+    report["b"] = all(r["ok"] for r in grid)
+    report["b_details"] = [{"t": r["t"], "ok": r["ok"]} for r in grid]
 
     twin = _twin_input(engine, gamma)
     if twin is not None:
@@ -994,17 +962,9 @@ def verify_theta_properties(engine, gamma, plan=None, constant_cells=None):
     else:
         report["c"] = None
 
-    filt = engine.model.filtration
-    beta = None
-    escaped = None
-    eta_baked = bake_on(grid_tree.final, session.final_map())
-    for value in eta_baked.values.values():
-        least = filt.least_index_supporting(value)
-        if least is None:
-            escaped = value
-            break
-        if beta is None or filt.position(least) > filt.position(beta):
-            beta = least
+    eta_baked = bake_on(engine.grid_complex, session.final_map())
+    beta, escaped = engine.model.filtration.absorbing_step(
+        eta_baked.values.values())
     report["d"] = {"beta": beta, "escaped": escaped}
     report["f"] = report["d"]
     return report

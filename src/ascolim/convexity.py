@@ -210,7 +210,9 @@ def hull_contains(point_set, x):
     base = pts[0]
     rows = [list(vsub(q, base)) for q in pts[1:]]
     dim = point_set.dim
-    hull_rank = linalg.rank(rows) if rows else 0
+    reduced, pivots = linalg.row_reduce(rows)
+    hull_rank = len(pivots)
+    basis = reduced[:hull_rank]
     if hull_rank == 0:
         return tuple(x) == tuple(base)
     res = linalg.solve([[r[d] for r in rows] for d in range(dim)],
@@ -221,7 +223,7 @@ def hull_contains(point_set, x):
     for support in combinations(range(len(pts)), hull_rank):
         anchor = pts[support[0]]
         span = [vsub(pts[i], anchor) for i in support[1:]]
-        normal = _normal_in_hull(span, rows, dim)
+        normal = _normal_in_hull(span, basis, dim)
         if normal is None:
             continue
         side_x = sum(n * c for n, c in zip(normal, vsub(x, anchor)))
@@ -234,12 +236,9 @@ def hull_contains(point_set, x):
     return True
 
 
-def _normal_in_hull(span, hull_rows, dim):
-    """A vector in the affine-hull direction space orthogonal to ``span``."""
-    basis_rows, pivots = linalg.row_reduce(hull_rows)
-    basis = [basis_rows[i] for i in range(len(pivots))]
-    if not basis:
-        return None
+def _normal_in_hull(span, basis, dim):
+    """A vector in the affine-hull direction space, spanned by the
+    nonempty ``basis``, orthogonal to ``span``."""
     # normal = sum(a_j * basis_j) with normal . s == 0 for each s in span
     mat = [[sum(b[d] * s[d] for d in range(dim)) for b in basis]
            for s in span]

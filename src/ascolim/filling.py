@@ -97,8 +97,6 @@ class FilledMap:
         self.anchor = tuple(anchor)
         self.boundary_map = as_evaluator(boundary_map)
         self._anchor_value = tuple(self.boundary_map(self.anchor))
-        self.exact = simplex.exact and getattr(self.boundary_map, "exact",
-                                               False)
 
     def value_with_certificate(self, x):
         cd = cone_decomposition(self.simplex, x)

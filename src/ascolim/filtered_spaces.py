@@ -71,6 +71,22 @@ class Filtration:
                 return label
         return None
 
+    def absorbing_step(self, points, at_least=None):
+        """Least label at or above ``at_least`` whose subspace holds every
+        point, and the first point that escapes every step (or None).
+
+        The scan stops at an escaping point; the label is then the one
+        the points before it reached (``at_least`` if there are none).
+        """
+        best = at_least
+        for p in points:
+            least = self.least_index_supporting(p, at_least=at_least)
+            if least is None:
+                return best, p
+            if best is None or self.position(least) > self.position(best):
+                best = least
+        return best, None
+
     def project(self, point, label):
         coords = self.coord_sets[label]
         return tuple(c if i in coords else c * 0
@@ -507,15 +523,11 @@ def absorb_compact(chart, sample, alpha):
     for p in sample.points:
         if not chart.core_contains(p):
             raise InputError(f"sample point {p!r} outside the chart core")
-    beta = alpha
-    for p in sample.points:
-        least = filt.least_index_supporting(p, at_least=alpha)
-        if least is None:
-            raise AbsorptionError(
-                "compact sample escapes every step of the chain "
-                "(non-compactly-retractive signature)", witness=p)
-        if filt.position(least) > filt.position(beta):
-            beta = least
+    beta, escaped = filt.absorbing_step(sample.points, at_least=alpha)
+    if escaped is not None:
+        raise AbsorptionError(
+            "compact sample escapes every step of the chain "
+            "(non-compactly-retractive signature)", witness=escaped)
     return beta
 
 

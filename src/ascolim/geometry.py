@@ -179,9 +179,6 @@ class Simplex:
         return [Simplex.trusted(self.vertices[:i] + self.vertices[i + 1:])
                 for i in range(self.rank)]
 
-    def has_face(self, other):
-        return other.key <= self.key
-
     # -- barycentric machinery ------------------------------------------
 
     def _exact_solver(self):
@@ -254,16 +251,19 @@ class Simplex:
         return tuple(coords)
 
     def contains(self, x):
+        """Membership of ``x``; verdicts at exact points are memoized.
+
+        A float point bypasses the memo: it hashes and compares equal to
+        its exact twin but gets the tolerance verdict of the float lane.
+        """
         x = tuple(x)
+        if not point_is_exact(x):
+            return not isinstance(self.barycentric(x), Outside)
         got = self._contains_cache.get(x)
         if got is None:
             got = not isinstance(self.barycentric(x), Outside)
             self._contains_cache[x] = got
         return got
-
-    def point_at(self, coords):
-        """The point with the given barycentric coefficients."""
-        return combine(self.vertices, coords)
 
 
 def _int_matrix(mat):

@@ -450,15 +450,10 @@ def injectivity_leg(model, sigma, tau, config=None, u_levels=4):
     w_s, w_t = winding_number(sigma), winding_number(tau)
     if w_s != w_t:
         raise InputError("loops have different winding; no homotopy exists")
-    filt = model.filtration
-    alpha = filt.least_index_supporting(sigma.basepoint)
-    for loop in (sigma, tau):
-        for v in loop.vertices:
-            least = filt.least_index_supporting(v)
-            if least is None:
-                raise InputError("injectivity-leg loops must be step loops")
-            if filt.position(least) > filt.position(alpha):
-                alpha = least
+    alpha, escaped = model.filtration.absorbing_step(
+        sigma.vertices + tau.vertices)
+    if escaped is not None:
+        raise InputError("injectivity-leg loops must be step loops")
 
     cx, dom_pts = polygon_domain(len(sigma.vertices))
     rows = annulus_homotopy_values(sigma, tau, axis, u_levels)

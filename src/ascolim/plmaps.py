@@ -5,8 +5,7 @@ evaluates by exact point location plus barycentric combination, so
 composition with exact inputs stays exact.  An exact map has one value
 at each point, whichever simplex carries it, so its values at exact
 non-vertex points are memoized.  ``FuncMap`` wraps an arbitrary callable
-behind the same evaluation interface.  ``bake`` turns any
-evaluator into a ``PLMap`` on a chosen refinement of its domain.
+behind the same evaluation interface.
 """
 
 from ascolim.errors import InputError
@@ -62,19 +61,12 @@ class PLMap:
             memo[key] = value
         return value
 
-    def vertex_value(self, v):
-        return self.values[tuple(v)]
-
-    def image_points(self):
-        return sorted(set(self.values.values()))
-
 
 class FuncMap:
-    """A bare evaluator; ``exact`` declares whether values are rational."""
+    """A bare evaluator around a callable of one point."""
 
-    def __init__(self, fn, exact=False):
+    def __init__(self, fn):
         self.fn = fn
-        self.exact = exact
 
     def eval_located(self, simplex, coords):
         return self.fn(combine(simplex.vertices, coords))
@@ -90,32 +82,3 @@ def as_evaluator(obj):
         return FuncMap(obj)
     raise InputError(f"not an evaluator: {obj!r}")
 
-
-def bake(evaluator, domain, refine=0):
-    """Sample ``evaluator`` at the vertices of ``bsd^refine(domain)``.
-
-    Returns ``(PLMap, SubdividedComplex)``; the PL surrogate agrees with
-    the evaluator on the refined vertex set and interpolates in between.
-    """
-    tree = domain if isinstance(domain, SubdividedComplex) \
-        else SubdividedComplex(domain)
-    if refine:
-        tree.refine(refine)
-    fn = as_evaluator(evaluator)
-    values = {tuple(v): tuple(fn(v)) for v in tree.final.vertices()}
-    return PLMap(tree.final, values), tree
-
-
-class Homotopy:
-    """Evaluator on ``|Σ| x [0,1]``; wraps ``fn(x, t)``."""
-
-    def __init__(self, fn, exact=False):
-        self.fn = fn
-        self.exact = exact
-
-    def __call__(self, x, t):
-        return self.fn(tuple(x), t)
-
-    def slice_at(self, t):
-        return FuncMap(lambda x, _t=t: self.fn(tuple(x), _t),
-                       exact=self.exact)

@@ -92,9 +92,6 @@ def obj_to_plmap(obj):
     return PLMap(cx, values)
 
 
-_REGION_KINDS = {}
-
-
 def region_to_obj(region):
     if isinstance(region, FullSpace):
         return {"kind": "full_space", "dim": region.dim}

@@ -227,6 +227,17 @@ def max_diameter_sq(complex_):
     return max(diameter_sq(s) for s in complex_.tops())
 
 
+def _subdivision_cap(rank, d0, delta_sq):
+    """A-priori count of ``bsd`` steps that bring the squared mesh ``d0``
+    below ``delta_sq``, from the ``(r-1)/r`` contraction of each step;
+    0 when the mesh is already below it."""
+    if d0 < delta_sq:
+        return 0
+    ratio = ((rank - 1) / rank) ** 2
+    return math.ceil(math.log(float(delta_sq) / float(d0))
+                     / math.log(ratio)) + 2
+
+
 def subdivide_until(complex_, delta):
     """Iterate ``bsd`` until every simplex has diameter below ``delta``.
 
@@ -241,14 +252,7 @@ def subdivide_until(complex_, delta):
     current = complex_
     if r == 1:
         return 0, current
-    d0 = max_diameter_sq(current)
-    if d0 == 0:
-        return 0, current
-    ratio = ((r - 1) / r) ** 2
-    cap = 0
-    if float(d0) > float(delta_sq):
-        cap = math.ceil(math.log(float(delta_sq) / float(d0))
-                        / math.log(ratio)) + 2
+    cap = _subdivision_cap(r, max_diameter_sq(current), delta_sq)
     m = 0
     while max_diameter_sq(current) >= delta_sq:
         if m >= cap:
@@ -316,12 +320,7 @@ class SubdividedComplex:
         r = self.final.rank
         if r == 1:
             return 0
-        d0 = max_diameter_sq(self.final)
-        cap = 0
-        if float(d0) >= float(delta_sq):
-            ratio = ((r - 1) / r) ** 2
-            cap = math.ceil(math.log(float(delta_sq) / float(d0))
-                            / math.log(ratio)) + 2
+        cap = _subdivision_cap(r, max_diameter_sq(self.final), delta_sq)
         m = 0
         while max_diameter_sq(self.final) >= delta_sq:
             if m >= cap:

@@ -11,11 +11,14 @@ from ascolim.approximation import (BoundTheta, Constraint, EngineConfig,
                                    simultaneous_approximation,
                                    verify_theta_properties)
 from ascolim.errors import InputError
-from ascolim.filtered_spaces import FilteredSpaceModel, Filtration
+from ascolim.filtered_spaces import (CompactSample, FilteredSpaceModel,
+                                     Filtration)
 from ascolim.geometry import Simplex, combine
 from ascolim.plmaps import PLMap
-from ascolim.regions import CoordinatePlaneComplement, FullSpace, OpenBall
-from ascolim.simplicial import SimplicialComplex, SubcomplexCarrier
+from ascolim.regions import (CoordinatePlaneComplement, FullSpace,
+                             HalfSpace, OpenBall)
+from ascolim.simplicial import (SimplicialComplex, SubcomplexCarrier,
+                                SubdividedComplex)
 
 F = Fraction
 
@@ -245,3 +248,64 @@ def test_engine_config_rejects_negative_levels(field):
     with pytest.raises(InputError):
         EngineConfig(**{field: -1})
     assert getattr(EngineConfig(**{field: 0}), field) == 0
+
+
+def test_check_map_sample_and_single_vertex_constraints():
+    cx, corners = square_domain()
+    gamma = loop_map(cx, corners)
+    upper = HalfSpace((0, 1, 0, 0), 0)          # x_1 > 0
+    # a sample constraint decides pointwise and exactly
+    ok = NeighborhoodSpec([Constraint(
+        CompactSample(((1, 1), (-1, 1))), upper)])
+    assert ok.check_map(cx, gamma) == (True, [
+        {"constraint": 0, "ok": True, "mode": "exact"}])
+    bad = NeighborhoodSpec([Constraint(
+        CompactSample(((1, 1), (-1, -1))), upper)])
+    assert bad.check_map(cx, gamma)[0] is False
+    assert bad.check_map(cx, gamma)[1][0]["mode"] == "exact"
+    # no edge of the square fits inside one vertex, so the vertex itself
+    # is checked: its image (-1, -1, 0, 0) is below the plane x_1 = 0
+    vertex = Simplex([(-1, -1)])
+    assert NeighborhoodSpec([Constraint(vertex, upper)]).check_map(
+        cx, gamma) == (False, [{"constraint": 0, "ok": False,
+                                "mode": "exact"}])
+    lower = HalfSpace((0, -1, 0, 0), 0)
+    assert NeighborhoodSpec([Constraint(vertex, lower)]).check_map(
+        cx, gamma)[0] is True
+
+
+def test_constraint_rejects_other_subset_kinds():
+    cx, corners = square_domain()
+    carrier = SubcomplexCarrier(cx, [Simplex([corners[0]])])
+    region = FullSpace(4)
+    for subset in (carrier, "some", [corners[0]]):
+        with pytest.raises(InputError):
+            Constraint(subset, region)
+    for subset in ("all", Simplex([corners[0]]),
+                   CompactSample((corners[0],))):
+        assert Constraint(subset, region).subset is subset
+
+
+def test_property_check_reuses_the_grid_complex(monkeypatch):
+    # the endpoint and every slice of both the record and the property
+    # check are baked on one grid complex, refined once per engine
+    cx, corners = square_domain()
+    model = plane_model()
+    pert = ((1, 1), {2: F(1, 5), 3: F(-1, 7)})
+    gamma = loop_map(cx, corners, pert=pert)
+    spec = NeighborhoodSpec([Constraint("all", model.carrier)])
+    record = individual_approximation(cx, gamma, spec, None, model,
+                                      alpha=1, config=CONFIG)
+    calls = []
+    original = SubdividedComplex.refine
+
+    def counting(self, steps=1):
+        calls.append(steps)
+        return original(self, steps)
+
+    monkeypatch.setattr(SubdividedComplex, "refine", counting)
+    report = verify_theta_properties(record.engine, gamma,
+                                     SamplingPlan(t_points=3))
+    assert calls == []
+    assert report["b"] is True
+    assert record.engine.grid_complex is record.eta_baked.domain

@@ -12,7 +12,7 @@ from ascolim.cli import main
 from ascolim.filtered_spaces import FilteredSpaceModel, Filtration
 from ascolim.geometry import Simplex
 from ascolim.invariants import LoopModel
-from ascolim.regions import CoordinatePlaneComplement, OpenBall
+from ascolim.regions import CoordinatePlaneComplement, HalfSpace, OpenBall
 from ascolim.simplicial import SimplicialComplex
 
 F = Fraction
@@ -43,6 +43,15 @@ def test_subdivide_unit_triangle(tmp_path, capsys):
     assert report["max_diameter_sq"] == "5/9"
     refined = ser.obj_to_complex(json.loads(open(out).read()))
     assert len(refined.tops()) == 6
+
+
+def test_subdivide_to_delta_equal_to_the_mesh(tmp_path, capsys):
+    cx = SimplicialComplex([Simplex([(0,), (1,)])])
+    inp = _write(tmp_path, "cx.json", ser.complex_to_obj(cx))
+    assert main(["subdivide", "--input", inp, "--delta", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["m"] == 1
+    assert report["max_diameter_sq"] == "1/4"
 
 
 def test_subdivide_rejects_bad_delta(tmp_path):
@@ -185,6 +194,28 @@ def test_approximate_subcommand(tmp_path, capsys):
     record = json.loads(open(out).read())
     assert record["beta"] == "1"
     assert record["grid_ok"]
+
+
+def test_approximate_with_mixed_constraint_kinds(tmp_path, capsys):
+    # one constraint of each subset kind; the one-vertex simplex lies
+    # inside no cell, so it is checked on its own
+    args = _approximate_args(tmp_path)
+    spec = {"constraints": [
+        {"subset": "all", "region": ser.region_to_obj(
+            CoordinatePlaneComplement(4, 0, 1))},
+        {"subset": {"kind": "sample", "points": [["1", "1"], ["-1", "1"]]},
+         "region": ser.region_to_obj(OpenBall((F(0),) * 4, 3))},
+        {"subset": {"kind": "simplex", "vertices": [["1", "1"],
+                                                    ["-1", "1"]]},
+         "region": ser.region_to_obj(HalfSpace((0, 1, 0, 0), F(1, 2)))},
+        {"subset": {"kind": "simplex", "vertices": [["-1", "-1"]]},
+         "region": ser.region_to_obj(OpenBall((F(-1), F(-1), 0, 0), 1))},
+    ]}
+    args[args.index("--spec") + 1] = _write(tmp_path, "mixed.json", spec)
+    assert main(["--t-grid", "4"] + args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["grid_ok"] and report["properties"]["b"]
+    assert report["beta"] == "1"
 
 
 def test_approximate_rejects_zero_t_grid(tmp_path, capsys):

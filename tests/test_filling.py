@@ -69,8 +69,7 @@ def _random_inner_point(simplex, rng):
 def test_constant_maps_fill_to_constants():
     rng = random.Random(3)
     y = (F(2), F(-1), F(5, 3))
-    phi = fill(TRIANGLE, default_anchor(TRIANGLE), FuncMap(lambda _: y,
-                                                           exact=True))
+    phi = fill(TRIANGLE, default_anchor(TRIANGLE), FuncMap(lambda _: y))
     for _ in range(100):
         assert phi(_random_inner_point(TRIANGLE, rng)) == y
 
@@ -78,7 +77,7 @@ def test_constant_maps_fill_to_constants():
 def test_interval_midpoint_hits_anchor_value():
     seg = Simplex([(0,), (1,)])
     p, q = (F(7),), (F(11),)
-    gamma = FuncMap(lambda x: p if x == (0,) else q, exact=True)
+    gamma = FuncMap(lambda x: p if x == (0,) else q)
     phi = fill(seg, (0,), gamma)
     # the midpoint is the barycenter: t = 1 branch
     assert phi((F(1, 2),)) == p
@@ -90,7 +89,7 @@ def test_linearity_exact():
     g1, _ = _pl_boundary(TRIANGLE, rng)
     g2, _ = _pl_boundary(TRIANGLE, rng)
     combo = FuncMap(lambda x: tuple(2 * a - b for a, b in
-                                    zip(g1(x), g2(x))), exact=True)
+                                    zip(g1(x), g2(x))))
     anchor = default_anchor(TRIANGLE)
     f1 = fill(TRIANGLE, anchor, g1)
     f2 = fill(TRIANGLE, anchor, g2)
@@ -130,7 +129,7 @@ def test_rank_one_rejected():
 
 
 def test_evaluation_outside_rejected():
-    phi = fill(TRIANGLE, (0, 0), FuncMap(lambda x: x, exact=True))
+    phi = fill(TRIANGLE, (0, 0), FuncMap(lambda x: x))
     with pytest.raises(InputError):
         phi((5, 5))
 

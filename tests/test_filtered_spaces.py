@@ -187,6 +187,25 @@ def test_absorption_failure_reports_witness():
     assert err.value.witness == (0, 0, F(1, 2), 0)
 
 
+def test_absorbing_step_scan():
+    filt = chain_filtration(4)
+    pts = [(F(1), 0, 0, 0), (0, F(1), F(1), 0), (F(2), 0, 0, 0)]
+    assert filt.absorbing_step(pts) == (3, None)
+    assert filt.absorbing_step(pts[:1]) == (1, None)
+    assert filt.absorbing_step(pts[:1], at_least=2) == (2, None)
+    assert filt.absorbing_step([], at_least=2) == (2, None)
+    assert filt.absorbing_step([]) == (None, None)
+    # a chain that stops short of the ambient space: the scan stops at
+    # the first escaping point, with the label reached before it
+    short = Filtration(4, [(1, {0}), (2, {0, 1})])
+    out, other = (0, 0, F(1), 0), (0, 0, 0, F(1))
+    assert short.absorbing_step([(F(1), 0, 0, 0), (0, F(1), 0, 0), out,
+                                 other]) == (2, out)
+    assert short.absorbing_step([(F(1), 0, 0, 0), out]) == (1, out)
+    assert short.absorbing_step([out, (0, F(1), 0, 0)]) == (None, out)
+    assert short.absorbing_step([out], at_least=2) == (2, out)
+
+
 def test_translate_chart_identity_element():
     model = ball_model(radius=4)
     chart = identity_chart(model, OpenBall((F(0),) * 4, 2))

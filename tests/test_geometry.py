@@ -136,3 +136,17 @@ def test_float_backend_tolerates_drift():
 
 def test_sqdist_exact():
     assert sqdist((F(1, 2), 0), (0, F(1, 2))) == F(1, 2)
+
+
+@pytest.mark.parametrize("exact_first", [True, False])
+def test_contains_memo_keeps_float_and_exact_verdicts_apart(exact_first):
+    # 2^-40 outside the triangle: exactly outside, inside within TAU; the
+    # two points hash alike, so the order of the queries must not matter
+    tri = Simplex([(0, 0), (1, 0), (0, 1)])
+    near = (F(-1, 2 ** 40), F(1, 2))
+    twin = (-2.0 ** -40, 0.5)
+    assert twin == near and hash(twin) == hash(near)
+    queries = [near, twin] if exact_first else [twin, near]
+    assert [tri.contains(q) for q in queries] \
+        == [q is twin for q in queries]
+    assert tri.contains(near) is False and tri.contains(twin) is True

@@ -98,6 +98,16 @@ def test_subdivide_until_triangle():
     assert m == 1
 
 
+def test_mesh_equal_to_delta_takes_one_step():
+    # diameter < delta is strict, so a mesh of exactly delta needs a step
+    interval = Simplex([(0,), (1,)])
+    m, sub = subdivide_until(SimplicialComplex([interval]), 1)
+    assert m == 1 and max_diameter_sq(sub) == F(1, 4)
+    tree = SubdividedComplex(SimplicialComplex([interval]))
+    assert tree.refine_until(1) == 1
+    assert max_diameter_sq(tree.final) == F(1, 4)
+
+
 def test_subdivide_until_rejects_nonpositive_delta():
     cx = SimplicialComplex([UNIT_TRIANGLE])
     with pytest.raises(InputError):
