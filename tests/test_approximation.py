@@ -261,8 +261,8 @@ def test_check_map_sample_and_single_vertex_constraints():
         {"constraint": 0, "ok": True, "mode": "exact"}])
     bad = NeighborhoodSpec([Constraint(
         CompactSample(((1, 1), (-1, -1))), upper)])
-    assert bad.check_map(cx, gamma)[0] is False
-    assert bad.check_map(cx, gamma)[1][0]["mode"] == "exact"
+    assert bad.check_map(cx, gamma) == (False, [
+        {"constraint": 0, "ok": False, "mode": "exact"}])
     # no edge of the square fits inside one vertex, so the vertex itself
     # is checked: its image (-1, -1, 0, 0) is below the plane x_1 = 0
     vertex = Simplex([(-1, -1)])
