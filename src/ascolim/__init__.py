@@ -2,7 +2,7 @@
 
 Modules:
 
-- ``geometry``        exact/floating scalars, points, affine simplices
+- ``geometry``        exact rational points, affine simplices
 - ``simplicial``      finite geometric complexes, barycentric subdivision,
                       prism triangulations
 - ``convexity``       bounded-term convex-combination membership oracles

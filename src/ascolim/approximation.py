@@ -650,9 +650,14 @@ def simultaneous_approximation(complex_, gamma0, spec, relative, model,
 
 @dataclass
 class HomotopyRecord:
-    """Outcome of an individual approximation run."""
+    """Outcome of an individual approximation run.
+
+    ``start_map`` is the map the engine homotoped: the input map, or its
+    ``t = 1`` anchor push when anchor values were pushed.
+    """
 
     homotopy: object            # callable (x, t)
+    start_map: object           # evaluator of the homotoped map
     eta: object                 # endpoint evaluator
     eta_baked: object           # PLMap surrogate of the endpoint
     beta: object                # absorbing step index
@@ -840,9 +845,9 @@ def individual_approximation(complex_, gamma0, spec, relative, model,
     moved = _push_targets(engine, gamma0, model, config)
 
     if not moved:
-        session = BoundTheta(engine, gamma0)
-        homotopy = session.__call__
-        bound_final = session
+        start_map = gamma0
+        bound_final = BoundTheta(engine, gamma0)
+        homotopy = bound_final.__call__
     else:
         eps = _epsilon_for(moved, engine, gamma0, relative, config)
         g_map = _make_push_map(gamma0, moved, eps)
@@ -855,7 +860,8 @@ def individual_approximation(complex_, gamma0, spec, relative, model,
                     engine, lambda z, _t=t: g_map(z, _t))
             return sessions[t](x, t, hint=hint)
 
-        bound_final = BoundTheta(engine, lambda z: g_map(z, 1))
+        start_map = FuncMap(lambda z: g_map(z, 1))
+        bound_final = BoundTheta(engine, start_map)
 
     eta = bound_final.final_map()
     eta_baked = bake_on(engine.grid_complex, eta)
@@ -869,6 +875,7 @@ def individual_approximation(complex_, gamma0, spec, relative, model,
 
     return HomotopyRecord(
         homotopy=homotopy,
+        start_map=start_map,
         eta=eta,
         eta_baked=eta_baked,
         beta=beta,

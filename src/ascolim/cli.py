@@ -160,7 +160,7 @@ def cmd_approximate(args, config):
     plan = SamplingPlan(points_per_cell=config.probe_per_cell,
                         t_points=min(10, config.t_grid),
                         seed=config.seed)
-    props = verify_theta_properties(record.engine, gamma, plan)
+    props = verify_theta_properties(record.engine, record.start_map, plan)
     props.pop("b_details", None)
     props["d"] = {"beta": str(props["d"]["beta"]),
                   "escaped": props["d"]["escaped"] is not None}

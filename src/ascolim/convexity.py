@@ -13,7 +13,7 @@ from itertools import combinations
 
 from ascolim import linalg
 from ascolim.errors import CertificateError, InputError
-from ascolim.geometry import as_point, combine, point_is_exact, vsub
+from ascolim.geometry import as_point, combine, vsub
 from ascolim.rats import RAT
 
 
@@ -27,8 +27,6 @@ class FinitePointSet:
         dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise InputError("points of mixed ambient dimension")
-        if not all(point_is_exact(p) for p in pts):
-            raise InputError("finite point sets must be exact rational")
         self.points = pts
         self.dim = dim
 

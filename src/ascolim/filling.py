@@ -61,7 +61,7 @@ def cone_decomposition(simplex, x):
             idx.append(i)
             coeff.append(res)
     cd = ConeDecomposition(t, tuple(idx), tuple(coeff))
-    if simplex.exact and cd.reconstruct(simplex) != tuple(x):
+    if cd.reconstruct(simplex) != tuple(x):
         raise CertificateError(f"cone decomposition of {x!r} does not "
                                f"reconstruct the point")
     return cd

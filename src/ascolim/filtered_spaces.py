@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ascolim.errors import (AbsorptionError, InputError,
                             ResolutionExceededError)
-from ascolim.geometry import as_point, point_is_exact, vadd, vsub
+from ascolim.geometry import as_point, vadd, vsub
 from ascolim.rats import RAT, to_rat
 from ascolim.regions import (AffineSubspace, Intersection, OpenBall, Region,
                              conv2_subset, region_subset)
@@ -117,10 +117,8 @@ class CompactSample:
     def __post_init__(self):
         if not self.points:
             raise InputError("empty compact sample")
-        pts = tuple(as_point(p) for p in self.points)
-        if not all(point_is_exact(p) for p in pts):
-            raise InputError("compact samples must be exact rational")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points",
+                           tuple(as_point(p) for p in self.points))
 
 
 class FilteredSpaceModel:

@@ -1,10 +1,11 @@
 """Scalars, points and affine simplices.
 
-Two scalar backends coexist: exact rationals (``int``/``Fraction``), the
-default for every correctness-bearing identity, and binary floats with a
-fixed comparison tolerance ``TAU`` for large sampled experiments.  A point
-is a plain tuple of scalars; a simplex stores its vertices in construction
-order and owns a cached exact solver for barycentric coordinates.
+Every scalar is an exact rational (``int``, ``Fraction`` or gmpy2's
+``mpq``), and a point is a plain tuple of scalars.  ``as_point`` builds
+one from outside coordinates and raises ``InputError`` on a float or any
+other inexact value; query methods take exact points and use them as
+given.  A simplex stores its vertices in construction order and owns a
+cached exact solver for barycentric coordinates.
 """
 
 import math
@@ -14,26 +15,12 @@ from itertools import combinations
 from ascolim import linalg
 from ascolim._kernels import matvec_q, max_pairwise_sqdist_q
 from ascolim.errors import InputError
-from ascolim.rats import RAT, RAT_TYPES, to_rat
-
-#: comparison tolerance of the floating backend
-TAU = 1e-9
-
-
-def is_exact_scalar(x):
-    return isinstance(x, RAT_TYPES) and not isinstance(x, bool)
+from ascolim.rats import RAT, to_rat
 
 
 def as_point(coords):
-    """Normalize to a tuple point; exact entries become ``Fraction``."""
-    pt = tuple(coords)
-    if all(is_exact_scalar(c) for c in pt):
-        return tuple(to_rat(c) for c in pt)
-    return tuple(float(c) for c in pt)
-
-
-def point_is_exact(p):
-    return all(is_exact_scalar(c) for c in p)
+    """Tuple point of exact rationals; ``InputError`` on any other entry."""
+    return tuple(to_rat(c) for c in coords)
 
 
 def vadd(p, q):
@@ -97,11 +84,10 @@ class Simplex:
 
     Vertices keep construction order.  Identity for complex membership is
     the unordered vertex set (``key``).  Affine independence is checked
-    exactly on the rational backend, with a ``TAU``-thresholded rank test
-    on the floating backend.
+    exactly.
     """
 
-    __slots__ = ("vertices", "rank", "dim", "exact", "key", "_solver",
+    __slots__ = ("vertices", "rank", "dim", "key", "_solver",
                  "_contains_cache")
 
     def __init__(self, vertices):
@@ -111,13 +97,9 @@ class Simplex:
         dim = len(vs[0])
         if any(len(v) != dim for v in vs):
             raise InputError("vertices of mixed ambient dimension")
-        exact = all(point_is_exact(v) for v in vs)
-        if not exact:
-            vs = tuple(tuple(float(c) for c in v) for v in vs)
         self.vertices = vs
         self.rank = len(vs)
         self.dim = dim
-        self.exact = exact
         self.key = frozenset(vs)
         self._solver = None
         self._contains_cache = {}
@@ -139,7 +121,6 @@ class Simplex:
         obj.vertices = vs
         obj.rank = len(vs)
         obj.dim = len(vs[0])
-        obj.exact = point_is_exact(vs[0])
         obj.key = frozenset(vs)
         obj._solver = None
         obj._contains_cache = {}
@@ -149,9 +130,7 @@ class Simplex:
         if self.rank == 1:
             return True
         edges = [vsub(v, self.vertices[0]) for v in self.vertices[1:]]
-        if self.exact:
-            return linalg.rank(edges) == self.rank - 1
-        return linalg.rank_float(edges, TAU) == self.rank - 1
+        return linalg.rank(edges) == self.rank - 1
 
     def __eq__(self, other):
         return isinstance(other, Simplex) and self.key == other.key
@@ -163,8 +142,7 @@ class Simplex:
         return f"Simplex({list(self.vertices)!r})"
 
     def barycenter(self):
-        r = RAT(1, self.rank) if self.exact else 1.0 / self.rank
-        return combine(self.vertices, [r] * self.rank)
+        return combine(self.vertices, [RAT(1, self.rank)] * self.rank)
 
     def faces(self):
         """All proper nonempty faces, as simplices."""
@@ -211,17 +189,12 @@ class Simplex:
 
     def barycentric(self, x):
         """Coefficients of ``x`` in this simplex, or an ``Outside`` verdict."""
-        x = as_point(x)
+        x = tuple(x)
         if len(x) != self.dim:
             raise InputError(
                 f"point dimension {len(x)} != simplex dimension {self.dim}")
-        if self.exact and point_is_exact(x):
-            return self._barycentric_exact(x)
-        return self._barycentric_float(tuple(float(c) for c in x))
-
-    def _barycentric_exact(self, x):
         sel, inv_num, inv_den, check = self._exact_solver()
-        rhs = list(x) + [RAT(1)]
+        rhs = x + (RAT(1),)
         for d, coeff in check:
             if sum(c * rhs[s] for c, s in zip(coeff, sel)) != rhs[d]:
                 return Outside("off_affine_hull")
@@ -233,32 +206,9 @@ class Simplex:
                 return Outside("negative_coefficient", i, s)
         return coords
 
-    def _barycentric_float(self, x):
-        # float lane: rebuild a small least-squares-free solve each call
-        rows = [[float(self.vertices[i][d]) for i in range(self.rank)]
-                for d in range(self.dim)]
-        rows.append([1.0] * self.rank)
-        rhs = list(x) + [1.0]
-        sol = _solve_float(rows, rhs)
-        if sol is None:
-            return Outside("off_affine_hull")
-        coords, residual = sol
-        if residual > TAU:
-            return Outside("off_affine_hull")
-        for i, s in enumerate(coords):
-            if s < -TAU:
-                return Outside("negative_coefficient", i, s)
-        return tuple(coords)
-
     def contains(self, x):
-        """Membership of ``x``; verdicts at exact points are memoized.
-
-        A float point bypasses the memo: it hashes and compares equal to
-        its exact twin but gets the tolerance verdict of the float lane.
-        """
+        """Membership of ``x``; the verdict at each point is memoized."""
         x = tuple(x)
-        if not point_is_exact(x):
-            return not isinstance(self.barycentric(x), Outside)
         got = self._contains_cache.get(x)
         if got is None:
             got = not isinstance(self.barycentric(x), Outside)
@@ -276,35 +226,6 @@ def _int_matrix(mat):
     return rows, den
 
 
-def _solve_float(rows, rhs):
-    """Least-squares-free float solve of a tall system; (coords, residual)."""
-    n = len(rows[0])
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    nrows = len(m)
-    r = 0
-    cols = []
-    for c in range(n):
-        pr = max(range(r, nrows), key=lambda i: abs(m[i][c]))
-        if abs(m[pr][c]) <= TAU:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [a / pv for a in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0.0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        cols.append(c)
-        r += 1
-    if len(cols) < n:
-        return None
-    coords = [0.0] * n
-    for i, c in enumerate(cols):
-        coords[c] = m[i][n]
-    residual = max((abs(m[i][n]) for i in range(r, nrows)), default=0.0)
-    return coords, residual
-
-
 # -- spec-level operations ----------------------------------------------
 
 
@@ -316,19 +237,12 @@ def barycentric_coordinates(simplex, x):
 def diameter_sq(simplex):
     """Exact squared euclidean diameter (max pairwise vertex distance)."""
     if simplex.rank == 1:
-        return RAT(0) if simplex.exact else 0.0
-    if simplex.exact:
-        flat = [c for v in simplex.vertices for c in v]
-        nums, den = scale_common(flat)
-        dim = simplex.dim
-        pts = [tuple(nums[i * dim:(i + 1) * dim])
-               for i in range(simplex.rank)]
-        return RAT(max_pairwise_sqdist_q(pts), den * den)
-    best = 0.0
-    for i in range(simplex.rank):
-        for j in range(i + 1, simplex.rank):
-            best = max(best, sqdist(simplex.vertices[i], simplex.vertices[j]))
-    return best
+        return RAT(0)
+    flat = [c for v in simplex.vertices for c in v]
+    nums, den = scale_common(flat)
+    dim = simplex.dim
+    pts = [tuple(nums[i * dim:(i + 1) * dim]) for i in range(simplex.rank)]
+    return RAT(max_pairwise_sqdist_q(pts), den * den)
 
 
 def sqdist_point_simplex(x, simplex):

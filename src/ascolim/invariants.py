@@ -24,7 +24,7 @@ from ascolim.direct_limits import (Cone, DirectSystemOfAbelianGroups,
                                    abelian_colimit, set_colimit,
                                    universal_map)
 from ascolim.errors import InputError
-from ascolim.geometry import Simplex, as_point, point_is_exact, scale_common
+from ascolim.geometry import Simplex, as_point, scale_common
 from ascolim.plmaps import PLMap
 from ascolim.rats import RAT, to_rat
 from ascolim.simplicial import SimplicialComplex, SubcomplexCarrier
@@ -49,8 +49,6 @@ class LoopModel:
             pts = pts[:-1]
         if len(pts) < 3:
             raise InputError("a loop needs at least three distinct vertices")
-        if not all(point_is_exact(p) for p in pts):
-            raise InputError("loop vertices must be exact rational")
         i, j = self.axis
         for p in pts:
             if p[i] == 0 and p[j] == 0:

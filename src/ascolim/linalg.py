@@ -5,8 +5,7 @@ Everything here is desk-scale (matrices of a handful of rows/columns).
 exact scalars.  ``solve_nonneg``, the one nonnegative-feasibility routine
 every caller shares, scales rows to integers once and solves each column
 support by fraction-free elimination (Bareiss 1968), so it builds exact
-rationals only for the solution it returns.  A floating rank test with an
-explicit pivot threshold backs the floating scalar lane.
+rationals only for the solution it returns.
 """
 
 import math
@@ -164,25 +163,3 @@ def solve_nonneg(mat, rhs, max_support=None, require=()):
                     sol[j] = RAT(v, det)
                 return sol
     return None
-
-
-def rank_float(mat, tau):
-    """Rank of a float matrix using partial pivoting with threshold ``tau``."""
-    m = [list(map(float, row)) for row in mat]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        pr = max(range(r, nrows), key=lambda i: abs(m[i][c]), default=None)
-        if pr is None or abs(m[pr][c]) <= tau:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        for i in range(r + 1, nrows):
-            f = m[i][c] / pv
-            if f:
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r

@@ -2,14 +2,14 @@
 
 A ``PLMap`` stores one value per vertex of its domain complex and
 evaluates by exact point location plus barycentric combination, so
-composition with exact inputs stays exact.  An exact map has one value
-at each point, whichever simplex carries it, so its values at exact
-non-vertex points are memoized.  ``FuncMap`` wraps an arbitrary callable
-behind the same evaluation interface.
+composition stays exact.  The map has one value at each point, whichever
+simplex carries it, so its values at non-vertex points are memoized.
+``FuncMap`` wraps an arbitrary callable behind the same evaluation
+interface.
 """
 
 from ascolim.errors import InputError
-from ascolim.geometry import Outside, as_point, combine, point_is_exact
+from ascolim.geometry import Outside, as_point, combine
 from ascolim.simplicial import SimplicialComplex, SubdividedComplex
 
 
@@ -28,7 +28,6 @@ class PLMap:
         if len(lengths) != 1:
             raise InputError("PL values of mixed target dimension")
         self.target_dim = lengths.pop()
-        self.exact = all(point_is_exact(v) for v in self.values.values())
         self._memo = {}
 
     def eval_located(self, simplex, coords):
@@ -41,13 +40,9 @@ class PLMap:
         value = self.values.get(key)
         if value is not None:
             return value
-        # a float point hashes like its exact twin, and a float sum
-        # depends on the simplex it is combined in: neither is memoized
-        memo = self._memo if self.exact and point_is_exact(key) else None
-        if memo is not None:
-            value = memo.get(key)
-            if value is not None:
-                return value
+        value = self._memo.get(key)
+        if value is not None:
+            return value
         if hint is not None:
             coords = hint.barycentric(key)
             if not isinstance(coords, Outside):
@@ -57,8 +52,7 @@ class PLMap:
             if hit is None:
                 raise InputError(f"point {x!r} outside the PL domain")
             value = self.eval_located(*hit)
-        if memo is not None:
-            memo[key] = value
+        self._memo[key] = value
         return value
 
 

@@ -69,8 +69,7 @@ class _Ball(Region):
 
     def __init__(self, center, radius):
         self.center = as_point(center)
-        self.radius = to_rat(radius) if not isinstance(radius, float) \
-            else radius
+        self.radius = to_rat(radius)
         if self.radius <= 0:
             raise InputError("ball radius must be positive")
         self.dim = len(self.center)
@@ -103,8 +102,7 @@ class HalfSpace(Region):
 
     def __init__(self, normal, offset, strict=True):
         self.normal = as_point(normal)
-        self.offset = to_rat(offset) if not isinstance(offset, float) \
-            else offset
+        self.offset = to_rat(offset)
         self.strict = strict
         self.dim = len(self.normal)
         # the normals of chart surgery have few nonzero entries

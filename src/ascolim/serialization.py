@@ -1,7 +1,9 @@
 """JSON encodings of every externally visible object.
 
-Rationals serialize as ``"p/q"`` strings (plain ``"p"`` when integral),
-floats as JSON numbers.  Complexes use a vertex table plus index tuples.
+Scalars are exact rationals and serialize as ``"p/q"`` strings (plain
+``"p"`` when integral); a reader also takes JSON integers, and rejects
+floats and malformed strings with ``InputError``.  Complexes use a vertex
+table plus index tuples.
 ``SCHEMAS`` documents each format; the CLI prints them on ``--schema``.
 """
 
@@ -16,7 +18,7 @@ from ascolim.filtered_spaces import (AffineMap, CompactSample,
 from ascolim.geometry import Simplex
 from ascolim.invariants import ComponentModel, LoopModel
 from ascolim.plmaps import PLMap
-from ascolim.rats import to_rat
+from ascolim.rats import RAT, to_rat
 from ascolim.regions import (AffineSubspace, ClosedBall, Complement,
                              CoordinatePlaneComplement, FullSpace, HalfSpace,
                              Intersection, OpenBall, Translate, Union)
@@ -24,8 +26,6 @@ from ascolim.simplicial import SimplicialComplex, SubcomplexCarrier
 
 
 def scalar_to_obj(x):
-    if isinstance(x, float):
-        return x
     x = to_rat(x)
     if x.denominator == 1:
         return str(x.numerator)
@@ -33,14 +33,16 @@ def scalar_to_obj(x):
 
 
 def obj_to_scalar(obj):
-    if isinstance(obj, (int, float)):
-        return obj if isinstance(obj, float) else to_rat(obj)
-    if isinstance(obj, str):
-        if "/" in obj:
-            num, den = obj.split("/")
-            return to_rat(int(num)) / to_rat(int(den))
-        return to_rat(int(obj))
-    raise InputError(f"not a scalar encoding: {obj!r}")
+    if not isinstance(obj, str):
+        return to_rat(obj)
+    parts = obj.split("/")
+    if len(parts) <= 2:
+        try:
+            return RAT(*(int(p) for p in parts))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f'not a scalar encoding: {obj!r}; give "p" or "p/q" '
+                     f"with integers p and q != 0")
 
 
 def point_to_obj(p):
@@ -307,7 +309,8 @@ def dumps(obj):
 
 
 SCHEMAS = {
-    "scalar": 'exact rational as "p/q" or "p" string; float as number',
+    "scalar": 'exact rational as "p/q" or "p" string (integers p and '
+              'q != 0); a JSON integer is also read',
     "point": "[scalar, ...] of the ambient dimension",
     "simplex": '{"vertices": [point, ...]} (affinely independent)',
     "points": '{"points": [point, ...]} (probe lists)',

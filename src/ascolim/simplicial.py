@@ -12,17 +12,16 @@ from itertools import combinations
 
 from ascolim import linalg
 from ascolim.errors import InputError, ResolutionExceededError
-from ascolim.geometry import (Outside, Simplex, diameter_sq, point_is_exact,
-                              vsub)
-from ascolim.rats import RAT
+from ascolim.geometry import Outside, Simplex, diameter_sq, vsub
+from ascolim.rats import RAT, to_rat
 
 
 class SimplicialComplex:
     """Face-closed finite set of simplices in a common ambient space.
 
     A complex is immutable after construction, so its top cells, its
-    vertex list and the answer of ``locate`` at each exact point are
-    computed once and kept.
+    vertex list and the answer of ``locate`` at each point are computed
+    once and kept.
     """
 
     __slots__ = ("simplices", "dim", "rank", "_tops", "_by_key",
@@ -92,14 +91,10 @@ class SimplicialComplex:
     def locate(self, x):
         """A top simplex containing ``x`` together with its coordinates.
 
-        The first hit in ``tops()`` order.  Answers at exact points are
-        memoized; a float point bypasses the memo, since it hashes and
-        compares equal to its exact twin but gets float coordinates and
-        the tolerance verdicts of the float lane.
+        The first hit in ``tops()`` order; answers are memoized.
         """
         x = tuple(x)
-        exact = point_is_exact(x)
-        if exact and x in self._located:
+        if x in self._located:
             return self._located[x]
         hit = None
         for top in self.tops():
@@ -107,8 +102,7 @@ class SimplicialComplex:
             if not isinstance(coords, Outside):
                 hit = (top, coords)
                 break
-        if exact:
-            self._located[x] = hit
+        self._located[x] = hit
         return hit
 
     def skeleton(self, max_rank):
@@ -230,11 +224,14 @@ def max_diameter_sq(complex_):
 def _subdivision_cap(rank, d0, delta_sq):
     """A-priori count of ``bsd`` steps that bring the squared mesh ``d0``
     below ``delta_sq``, from the ``(r-1)/r`` contraction of each step;
-    0 when the mesh is already below it."""
+    0 when the mesh is already below it.  The logarithm of the exact
+    ratio is taken of its integer numerator and denominator, so it
+    cannot underflow or overflow."""
     if d0 < delta_sq:
         return 0
+    q = to_rat(delta_sq) / d0
     ratio = ((rank - 1) / rank) ** 2
-    return math.ceil(math.log(float(delta_sq) / float(d0))
+    return math.ceil((math.log(q.numerator) - math.log(q.denominator))
                      / math.log(ratio)) + 2
 
 

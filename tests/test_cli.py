@@ -1,11 +1,14 @@
 """CLI surface: schemas, subcommands, exit codes, determinism."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from ascolim import serialization as ser
 from ascolim.cli import main
@@ -58,6 +61,22 @@ def test_subdivide_rejects_bad_delta(tmp_path):
     cx = SimplicialComplex([Simplex([(0, 0), (1, 0), (0, 1)])])
     inp = _write(tmp_path, "cx.json", ser.complex_to_obj(cx))
     assert main(["subdivide", "--input", inp, "--delta", "0"]) == 2
+
+
+@pytest.mark.parametrize("delta", ["0.3", "x", "1/0", "1/2/3"])
+def test_subdivide_rejects_malformed_delta(tmp_path, capsys, delta):
+    cx = SimplicialComplex([Simplex([(0,), (1,)])])
+    inp = _write(tmp_path, "cx.json", ser.complex_to_obj(cx))
+    assert main(["subdivide", "--input", inp, "--delta", delta]) == 2
+    assert "not a scalar encoding" in capsys.readouterr().err
+
+
+def test_subdivide_rejects_float_vertex(tmp_path, capsys):
+    obj = {"vertices": [["0"], [0.5]], "simplices": [[0, 1]]}
+    inp = _write(tmp_path, "cx.json", obj)
+    assert main(["subdivide", "--input", inp, "--delta", "1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "p/q" in captured.err
 
 
 def test_fill_subcommand(tmp_path, capsys):
@@ -218,6 +237,35 @@ def test_approximate_with_mixed_constraint_kinds(tmp_path, capsys):
     assert report["beta"] == "1"
 
 
+def test_approximate_certifies_the_pushed_map(tmp_path, capsys):
+    # an 8-vertex square loop in R^5 with one value off the top step:
+    # its anchor is pushed, and the support certificate in the report is
+    # the one of the endpoint the run returns
+    filt = Filtration(5, [(1, {0, 1}), (2, {0, 1, 2, 3})])
+    model = FilteredSpaceModel(filt, CoordinatePlaneComplement(5, 0, 1))
+    ring = [(1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1),
+            (1, 0)]
+    cx = SimplicialComplex([Simplex([ring[i], ring[(i + 1) % 8]])
+                            for i in range(8)])
+    from ascolim.plmaps import PLMap
+    values = {v: (F(v[0]), F(v[1]), F(0), F(0),
+                  F(1, 2) if v == (1, 0) else F(0)) for v in ring}
+    spec = {"constraints": [{"subset": "all",
+                             "region": ser.region_to_obj(model.carrier)}]}
+    args = ["--t-grid", "4", "approximate",
+            "--complex", _write(tmp_path, "cx.json", ser.complex_to_obj(cx)),
+            "--map", _write(tmp_path, "map.json",
+                            ser.plmap_to_obj(PLMap(cx, values))),
+            "--spec", _write(tmp_path, "spec.json", spec),
+            "--model", _write(tmp_path, "model.json",
+                              ser.model_to_obj(model))]
+    assert main(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["pushed_points"]) == 1 and report["grid_ok"]
+    assert report["properties"]["d"] == {"beta": report["beta"],
+                                         "escaped": False}
+
+
 def test_approximate_rejects_zero_t_grid(tmp_path, capsys):
     assert main(["--t-grid", "0"] + _approximate_args(tmp_path)) == 2
     captured = capsys.readouterr()
@@ -260,17 +308,29 @@ def _golden_runs(tmp_path):
 
 def test_reports_match_golden_files(tmp_path):
     """Reports are byte-identical to the pinned ones under several hash
-    seeds, so neither a code change nor set ordering moves a byte."""
+    seeds, so neither a code change nor set ordering moves a byte.  The
+    last seed runs under ``python -O``: stripping asserts moves no byte
+    either."""
     data = Path(__file__).parent / "data"
     src = str(Path(__file__).parent.parent / "src")
     for name, args in _golden_runs(tmp_path).items():
         expected = (data / name).read_bytes()
-        for hash_seed in ("0", "1", "2"):
+        for hash_seed, flags in (("0", []), ("1", []), ("2", ["-O"])):
             env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                        PYTHONPATH=src)
             run = subprocess.run(
-                [sys.executable, "-m", "ascolim.cli"] + args,
+                [sys.executable] + flags + ["-m", "ascolim.cli"] + args,
                 capture_output=True, env=env, timeout=300)
             assert run.returncode == 0, run.stderr
             assert run.stderr == b""
             assert run.stdout == expected, (name, hash_seed)
+
+
+def test_library_has_no_assert_statements():
+    # certificate checks raise explicitly, so they also hold under -O
+    root = Path(__file__).parent.parent / "src" / "ascolim"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

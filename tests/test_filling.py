@@ -173,21 +173,6 @@ def test_values_carry_conv2_certificates():
             assert gy == tuple(gamma(y))
 
 
-def test_float_backend_dense_sampling_stability():
-    # operator continuity is not machine-checked; nearby inputs on the
-    # floating backend must stay within a drift tolerance
-    tri = Simplex([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    gamma = FuncMap(lambda x: (x[0] + x[1], x[0] - x[1]))
-    phi = fill(tri, (0.0, 0.0), gamma)
-    rng = random.Random(9)
-    for _ in range(50):
-        a = rng.uniform(0.05, 0.4)
-        b = rng.uniform(0.05, 0.4)
-        v1 = phi((a, b))
-        v2 = phi((a + 1e-10, b - 1e-10))
-        assert max(abs(p - q) for p, q in zip(v1, v2)) < 1e-8
-
-
 def test_bake_produces_exact_pl_surrogate():
     rng = random.Random(21)
     gamma, _ = _pl_boundary(TRIANGLE, rng)

@@ -11,8 +11,13 @@ from fractions import Fraction
 import pytest
 
 from ascolim.errors import InputError
-from ascolim.geometry import (Outside, Simplex, barycentric_coordinates,
-                              combine, diameter, diameter_sq, sqdist)
+from ascolim.filtered_spaces import CompactSample
+from ascolim.geometry import (Outside, Simplex, as_point,
+                              barycentric_coordinates, combine, diameter,
+                              diameter_sq, sqdist)
+from ascolim.plmaps import PLMap
+from ascolim.regions import HalfSpace, OpenBall
+from ascolim.simplicial import SimplicialComplex
 
 F = Fraction
 
@@ -124,29 +129,24 @@ def test_diameter_invariances():
         assert diameter_sq(moved) == base
 
 
-def test_float_backend_tolerates_drift():
-    tri = Simplex([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    assert not tri.exact
-    got = barycentric_coordinates(tri, (0.25, 0.25 + 1e-12))
-    assert not isinstance(got, Outside)
-    assert got[1] == pytest.approx(0.25, abs=1e-9)
-    out = barycentric_coordinates(tri, (2.0, 2.0))
-    assert isinstance(out, Outside)
+@pytest.mark.parametrize("bad", [0.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("build", [
+    lambda b: as_point((0, b)),
+    lambda b: Simplex([(0, 0), (1, 0), (0, b)]),
+    lambda b: PLMap(SimplicialComplex([Simplex([(0,), (1,)])]),
+                    {(0,): (0,), (1,): (b,)}),
+    lambda b: OpenBall((0, 0), b),
+    lambda b: HalfSpace((1, 0), b),
+    lambda b: CompactSample(((0, 0), (b, 0))),
+], ids=["as_point", "Simplex", "PLMap", "OpenBall", "HalfSpace",
+        "CompactSample"])
+def test_inexact_scalar_raises(build, bad):
+    # exact rationals are the only scalars; the error names the "p/q" form
+    with pytest.raises(InputError, match="p/q"):
+        build(bad)
 
 
 def test_sqdist_exact():
     assert sqdist((F(1, 2), 0), (0, F(1, 2))) == F(1, 2)
 
 
-@pytest.mark.parametrize("exact_first", [True, False])
-def test_contains_memo_keeps_float_and_exact_verdicts_apart(exact_first):
-    # 2^-40 outside the triangle: exactly outside, inside within TAU; the
-    # two points hash alike, so the order of the queries must not matter
-    tri = Simplex([(0, 0), (1, 0), (0, 1)])
-    near = (F(-1, 2 ** 40), F(1, 2))
-    twin = (-2.0 ** -40, 0.5)
-    assert twin == near and hash(twin) == hash(near)
-    queries = [near, twin] if exact_first else [twin, near]
-    assert [tri.contains(q) for q in queries] \
-        == [q is twin for q in queries]
-    assert tri.contains(near) is False and tri.contains(twin) is True

@@ -123,7 +123,7 @@ def test_surjectivity_leg_exact_solve_count(monkeypatch):
     # values 1260 complex locates (1560 without)
     model = plane_model(8, [(2, {0, 1}), (4, {0, 1, 2, 3})])
     probe = unit_square_loop(dim=8, reps=3)
-    calls = {"_barycentric_exact": 0, "locate": 0}
+    calls = {"barycentric": 0, "locate": 0}
 
     def count(owner, name):
         original = getattr(owner, name)
@@ -134,12 +134,12 @@ def test_surjectivity_leg_exact_solve_count(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    count(Simplex, "_barycentric_exact")
+    count(Simplex, "barycentric")
     count(SimplicialComplex, "locate")
     leg = surjectivity_leg(model, probe)
     assert leg["winding_before"] == leg["winding_after"] == 3
     assert leg["beta"] == 2 and leg["grid_ok"]
-    assert 0 < calls["_barycentric_exact"] <= 2100
+    assert 0 < calls["barycentric"] <= 2100
     assert 0 < calls["locate"] <= 1300
 
 

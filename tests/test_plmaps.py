@@ -49,11 +49,3 @@ def test_value_independent_of_hint_on_shared_faces():
             assert memoized(x, hint=hint) == want
             assert PLMap(cx, values)(x, hint=hint) == want
     assert shared > 20
-
-
-def test_float_point_after_exact_point_gets_float_value():
-    cx = SimplicialComplex([Simplex([(0, 0), (1, 0), (0, 1)])])
-    gamma = PLMap(cx, {(0, 0): (0,), (1, 0): (1,), (0, 1): (3,)})
-    assert gamma((F(1, 2), F(1, 4))) == (F(5, 4),)
-    value = gamma((0.5, 0.25))
-    assert value == (1.25,) and type(value[0]) is float

@@ -8,11 +8,11 @@ import pytest
 from ascolim.errors import InputError
 from ascolim.geometry import Simplex, diameter_sq, sqdist, vsub
 from ascolim.simplicial import (SimplicialComplex, SubcomplexCarrier,
-                                SubdividedComplex, barycentric_subdivide,
-                                bsd_with_parents, max_diameter_sq,
-                                prism_end_carrier, prism_over_carrier,
-                                relative_volumes, subdivide_until,
-                                triangulate_prism)
+                                SubdividedComplex, _subdivision_cap,
+                                barycentric_subdivide, bsd_with_parents,
+                                max_diameter_sq, prism_end_carrier,
+                                prism_over_carrier, relative_volumes,
+                                subdivide_until, triangulate_prism)
 
 F = Fraction
 
@@ -106,6 +106,17 @@ def test_mesh_equal_to_delta_takes_one_step():
     tree = SubdividedComplex(SimplicialComplex([interval]))
     assert tree.refine_until(1) == 1
     assert max_diameter_sq(tree.final) == F(1, 4)
+
+
+def test_subdivision_cap_past_the_float_range():
+    # squared meshes and deltas below the smallest float: the cap works on
+    # the exact ratio, so neither underflows to 0
+    delta = F(1, 10 ** 200)
+    cap = _subdivision_cap(2, F(1), delta * delta)  # the unit interval
+    assert cap == 667  # ceil(400 log 10 / log 4) + 2
+    tiny = SimplicialComplex([Simplex([(0,), (2 * delta,)])])
+    m, sub = subdivide_until(tiny, delta)
+    assert m == 2 and max_diameter_sq(sub) == (delta / 2) ** 2
 
 
 def test_subdivide_until_rejects_nonpositive_delta():
@@ -293,25 +304,6 @@ def test_memoized_locate_matches_fresh_scan():
         assert all(type(c) is F for c in got[1])
         assert cx.contains_point(x)
     assert outcomes == {True, False}
-
-
-def test_float_query_after_exact_query_keeps_float_lane():
-    cx = SimplicialComplex([UNIT_TRIANGLE])
-    inside = (F(1, 2), F(1, 4))
-    assert all(type(c) is F for c in cx.locate(inside)[1])
-    hit = cx.locate((0.5, 0.25))
-    assert hit is not None
-    assert all(type(c) is float for c in hit[1])
-    # outside by 2^-40: exactly outside, inside within the float tolerance
-    near = (F(-1, 2 ** 40), F(1, 2))
-    assert cx.locate(near) is None
-    assert not cx.contains_point(near)
-    twin = (-2.0 ** -40, 0.5)
-    assert twin == near and hash(twin) == hash(near)
-    hit = cx.locate(twin)
-    assert hit is not None and all(type(c) is float for c in hit[1])
-    assert cx.contains_point(twin)
-    assert cx.locate(near) is None  # the float answer was not memoized
 
 
 def test_vertices_returns_a_fresh_list():
