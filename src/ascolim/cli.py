@@ -76,14 +76,29 @@ def cmd_schema(args, config):
     return 0
 
 
+def _float_sqrt(value):
+    """``math.sqrt(float(value))`` while ``value`` fits a float; past that
+    range the float of the integer square root (off by less than one part
+    in 2^500), and ``None`` once the root itself is past the float range."""
+    try:
+        return math.sqrt(value)
+    except OverflowError:
+        pass
+    try:
+        return float(math.isqrt(value.numerator // value.denominator))
+    except OverflowError:
+        return None
+
+
 def cmd_subdivide(args, config):
     cx = ser.obj_to_complex(_load(args.input))
     delta = ser.obj_to_scalar(args.delta)
     m, refined = subdivide_until(cx, delta)
+    diam_sq = max_diameter_sq(refined)
     report = {
         "m": m,
-        "max_diameter": math.sqrt(float(max_diameter_sq(refined))),
-        "max_diameter_sq": ser.scalar_to_obj(max_diameter_sq(refined)),
+        "max_diameter": _float_sqrt(diam_sq),
+        "max_diameter_sq": ser.scalar_to_obj(diam_sq),
         "simplices": len(refined.tops()),
     }
     if args.out:

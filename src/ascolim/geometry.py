@@ -15,7 +15,7 @@ from itertools import combinations
 from ascolim import linalg
 from ascolim._kernels import matvec_q, max_pairwise_sqdist_q
 from ascolim.errors import InputError
-from ascolim.rats import RAT, to_rat
+from ascolim.rats import RAT, scale_common, to_rat
 
 
 def as_point(coords):
@@ -51,15 +51,6 @@ def combine(points, coeffs):
         for i, a in enumerate(p):
             acc[i] += c * a
     return tuple(acc)
-
-
-def scale_common(values):
-    """Fractions -> (integer numerators, common denominator)."""
-    den = 1
-    for v in values:
-        d = int(v.denominator)
-        den = den * d // math.gcd(den, d)
-    return tuple(int(v * den) for v in values), den
 
 
 @dataclass(frozen=True)

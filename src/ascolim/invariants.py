@@ -24,9 +24,9 @@ from ascolim.direct_limits import (Cone, DirectSystemOfAbelianGroups,
                                    abelian_colimit, set_colimit,
                                    universal_map)
 from ascolim.errors import InputError
-from ascolim.geometry import Simplex, as_point, scale_common
+from ascolim.geometry import Simplex, as_point
 from ascolim.plmaps import PLMap
-from ascolim.rats import RAT, to_rat
+from ascolim.rats import RAT, scale_common, to_rat
 from ascolim.simplicial import SimplicialComplex, SubcomplexCarrier
 
 

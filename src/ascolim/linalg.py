@@ -8,10 +8,9 @@ support by fraction-free elimination (Bareiss 1968), so it builds exact
 rationals only for the solution it returns.
 """
 
-import math
 from itertools import combinations
 
-from ascolim.rats import RAT
+from ascolim.rats import RAT, scale_common
 
 ZERO = RAT(0)
 ONE = RAT(1)
@@ -85,13 +84,7 @@ def invert(mat):
 
 def _integer_rows(mat, rhs):
     """Rows of ``[mat | rhs]`` scaled by the lcm of their denominators."""
-    out = []
-    for row, b in zip(mat, rhs):
-        entries = list(row) + [b]
-        den = math.lcm(*(int(v.denominator) for v in entries))
-        out.append([int(v.numerator) * (den // int(v.denominator))
-                    for v in entries])
-    return out
+    return [scale_common((*row, b))[0] for row, b in zip(mat, rhs)]
 
 
 def _fraction_free(m, ncols):

@@ -8,6 +8,7 @@ rationals are the only scalars: ``to_rat`` is the one gate for outside
 input and rejects floats, bools and anything else that is not exact.
 """
 
+import math
 from fractions import Fraction
 
 from ascolim.errors import InputError
@@ -33,3 +34,9 @@ def to_rat(value):
         return RAT(value)
     raise InputError(f"not an exact rational: {value!r}; give an int or "
                      f'a "p/q" string')
+
+
+def scale_common(values):
+    """Exact rationals -> (integer numerators, common denominator)."""
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den

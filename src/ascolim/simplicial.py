@@ -13,7 +13,7 @@ from itertools import combinations
 from ascolim import linalg
 from ascolim.errors import InputError, ResolutionExceededError
 from ascolim.geometry import Outside, Simplex, diameter_sq, vsub
-from ascolim.rats import RAT, to_rat
+from ascolim.rats import RAT, scale_common, to_rat
 
 
 class SimplicialComplex:
@@ -67,7 +67,7 @@ class SimplicialComplex:
                 for k in range(1, s.rank):
                     for idx in combinations(s.vertices, k):
                         covered.add(frozenset(idx))
-            self._tops = sorted(tops, key=lambda s: sorted(s.vertices))
+            self._tops = sorted(tops, key=_top_order)
         return self._tops
 
     def vertices(self):
@@ -129,6 +129,10 @@ class SimplicialComplex:
                 raise InputError(
                     f"simplices {a!r} and {b!r} do not meet in a face")
         return True
+
+
+def _top_order(simplex):
+    return sorted(simplex.vertices)
 
 
 def _intersection_vertices(s1, s2):
@@ -200,16 +204,26 @@ def bsd_with_parents(complex_, centers=None):
     Returns ``(subdivided, parents)`` where ``parents`` maps the key of
     each new simplex to the member of the input complex whose relative
     interior carries it (the largest element of its barycenter chain).
+
+    The tops of the subdivision are its maximal chains: those that start
+    at a vertex, go up one rank at a time and end at a top of the input
+    (which is face-closed), so they are known without a cover scan.
     """
     parents = {}
     cells = []
+    tops = []
+    top_keys = {t.key for t in complex_.tops()}
     if centers is None:
         centers = {s.key: s.barycenter() for s in complex_.simplices}
     for chain in _chains(complex_):
         cell = Simplex.trusted([centers[f.key] for f in chain])
         cells.append(cell)
         parents[cell.key] = chain[-1]
-    return SimplicialComplex(cells, close=False), parents
+        if len(chain) == chain[-1].rank and chain[-1].key in top_keys:
+            tops.append(cell)
+    sub = SimplicialComplex(cells, close=False)
+    sub._tops = sorted(tops, key=_top_order)
+    return sub, parents
 
 
 def barycentric_subdivide(complex_):
@@ -468,42 +482,52 @@ def relative_volumes(parent, pieces):
     """Volumes of full-rank ``pieces`` relative to ``parent`` (sums to 1).
 
     Pieces must have the same rank as ``parent`` and live in its affine
-    hull; each volume ratio is the absolute determinant of the piece's
-    edge vectors expressed in the parent's edge basis, an exact rational.
+    hull.  One row reduction of the parent's edges picks ``r - 1``
+    coordinates on which they are independent; projecting onto them is
+    injective on the hull, so a volume ratio is the ratio of the absolute
+    determinants of the projected edges, an exact rational.  Both
+    determinants are taken by fraction-free elimination of integer rows.
+    The other coordinates of a hull point follow from the picked ones;
+    each piece vertex is checked against them exactly.
     """
-    r = parent.rank
+    r, dim = parent.rank, parent.dim
     base = parent.vertices[0]
     edges = [vsub(v, base) for v in parent.vertices[1:]]
+    reduced, sel = linalg.row_reduce(edges)
+    # a point x is in the hull iff, for each (d, den, nums, offset) below,
+    # den * x[d] == offset + sum(nums[k] * x[sel[k]])
+    hull_rows = []
+    for d in range(dim):
+        if d not in sel:
+            coeffs = [row[d] for row in reduced]
+            offset = base[d] - sum(c * base[s] for c, s in zip(coeffs, sel))
+            nums, den = scale_common(coeffs + [offset])
+            hull_rows.append((d, den, nums[:-1], nums[-1]))
+    nums, den = scale_common([e[s] for e in edges for s in sel])
+    parent_det = _abs_det(nums, r - 1)
+    parent_den = den ** (r - 1)
     out = []
     for piece in pieces:
         if piece.rank != r:
             raise InputError("piece of different rank")
-        coeff_rows = []
-        for v in list(piece.vertices[1:]):
-            rel = vsub(v, piece.vertices[0])
-            res = linalg.solve([[e[d] for e in edges]
-                                for d in range(parent.dim)], list(rel))
-            if res is None:
-                raise InputError("piece not in the parent affine hull")
-            coeff_rows.append(res[0])
-        out.append(abs(_det(coeff_rows)))
+        if piece.dim != dim:
+            raise InputError("piece not in the parent affine hull")
+        nums, den = scale_common([c for v in piece.vertices for c in v])
+        pts = [nums[i * dim:(i + 1) * dim] for i in range(r)]
+        for x in pts:
+            for d, row_den, coeffs, offset in hull_rows:
+                if row_den * x[d] - sum(c * x[s] for c, s in
+                                        zip(coeffs, sel)) != offset * den:
+                    raise InputError("piece not in the parent affine hull")
+        det = _abs_det([x[s] - pts[0][s] for x in pts[1:] for s in sel],
+                       r - 1)
+        out.append(RAT(det * parent_den, parent_det * den ** (r - 1)))
     return out
 
 
-def _det(rows):
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = RAT(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return RAT(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c] / m[c][c]
-            if f:
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+def _abs_det(flat, n):
+    """Absolute determinant of the ``n x n`` integer matrix given row by
+    row in ``flat``, by fraction-free elimination."""
+    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+    pivots, det = linalg._fraction_free(rows, n)
+    return abs(det) if len(pivots) == n else 0

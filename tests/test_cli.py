@@ -57,6 +57,22 @@ def test_subdivide_to_delta_equal_to_the_mesh(tmp_path, capsys):
     assert report["max_diameter_sq"] == "1/4"
 
 
+@pytest.mark.parametrize("exp, diameter", [(200, 1e200), (400, None)])
+def test_subdivide_reports_diameters_past_the_float_range(
+        tmp_path, capsys, exp, diameter):
+    # the squared mesh 10^(2 exp) is past the float range; at exp = 400 the
+    # mesh itself is too, and only the exact square is reported
+    length = 10 ** exp
+    cx = SimplicialComplex([Simplex([(0,), (length,)])])
+    inp = _write(tmp_path, "cx.json", ser.complex_to_obj(cx))
+    assert main(["subdivide", "--input", inp,
+                 "--delta", str(10 * length)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["m"] == 0
+    assert report["max_diameter"] == diameter
+    assert report["max_diameter_sq"] == str(length ** 2)
+
+
 def test_subdivide_rejects_bad_delta(tmp_path):
     cx = SimplicialComplex([Simplex([(0, 0), (1, 0), (0, 1)])])
     inp = _write(tmp_path, "cx.json", ser.complex_to_obj(cx))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ascolim import linalg
 from ascolim.approximation import EngineConfig
 from ascolim.errors import InputError
 from ascolim.filtered_spaces import FilteredSpaceModel, Filtration
@@ -16,7 +17,8 @@ from ascolim.invariants import (ComponentModel, LoopModel,
                                 palais_experiment, polygon_domain,
                                 surjectivity_leg, winding_number)
 from ascolim.regions import CoordinatePlaneComplement, OpenBall, Union
-from ascolim.simplicial import SimplicialComplex
+from ascolim.simplicial import (SimplicialComplex, bsd_with_parents,
+                                relative_volumes)
 
 F = Fraction
 
@@ -116,6 +118,17 @@ def test_injectivity_leg_rejects_unequal_winding():
         injectivity_leg(model, sigma, tau, FAST)
 
 
+def _count_calls(monkeypatch, calls, owner, name):
+    """Wrap ``owner.name`` so that each call adds one to ``calls[name]``."""
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 def test_surjectivity_leg_exact_solve_count(monkeypatch):
     # machine-independent budget on the README's square model with default
     # settings: memoized point location needs 2029 exact barycentric
@@ -124,23 +137,37 @@ def test_surjectivity_leg_exact_solve_count(monkeypatch):
     model = plane_model(8, [(2, {0, 1}), (4, {0, 1, 2, 3})])
     probe = unit_square_loop(dim=8, reps=3)
     calls = {"barycentric": 0, "locate": 0}
-
-    def count(owner, name):
-        original = getattr(owner, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(owner, name, counted)
-
-    count(Simplex, "barycentric")
-    count(SimplicialComplex, "locate")
+    _count_calls(monkeypatch, calls, Simplex, "barycentric")
+    _count_calls(monkeypatch, calls, SimplicialComplex, "locate")
     leg = surjectivity_leg(model, probe)
     assert leg["winding_before"] == leg["winding_after"] == 3
     assert leg["beta"] == 2 and leg["grid_ok"]
     assert 0 < calls["barycentric"] <= 2100
     assert 0 < calls["locate"] <= 1300
+
+
+def test_subdivision_build_hash_and_solve_count(monkeypatch):
+    # machine-independent budget on one rank-5 simplex in R^6: the tops of
+    # its subdivision come from the maximal chains, with no vertex hashing
+    # (a cover scan makes 54,000 Fraction hashes), and relative volumes
+    # take integer determinants, with no exact solve (480 by Gauss-Jordan)
+    rng = random.Random(5)
+    while True:
+        try:
+            sx = Simplex([tuple(F(rng.randint(-16, 16), rng.randint(1, 4))
+                                for _ in range(6)) for _ in range(5)])
+            break
+        except InputError:
+            continue
+    sub = bsd_with_parents(SimplicialComplex([sx]))[0]
+    calls = {"__hash__": 0, "solve": 0}
+    _count_calls(monkeypatch, calls, Fraction, "__hash__")
+    _count_calls(monkeypatch, calls, linalg, "solve")
+    pieces = sub.tops()
+    assert calls["__hash__"] == 0
+    vols = relative_volumes(sx, pieces)
+    assert len(pieces) == 120 and vols == [F(1, 120)] * 120
+    assert calls["solve"] == 0
 
 
 def test_pi1_experiment_report():

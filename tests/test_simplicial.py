@@ -137,6 +137,92 @@ def test_refinement_exact_volume_sums():
             assert UNIT_TRIANGLE.contains(v)
 
 
+def _random_simplex(rng, rank, dim):
+    while True:
+        pts = [tuple(F(rng.randint(-16, 16), rng.randint(1, 4))
+                     for _ in range(dim)) for _ in range(rank)]
+        try:
+            return Simplex(pts)
+        except InputError:
+            continue
+
+
+def _gram(simplex):
+    edges = [vsub(v, simplex.vertices[0]) for v in simplex.vertices[1:]]
+    return _det([[sum(a * b for a, b in zip(e, f)) for f in edges]
+                 for e in edges])
+
+
+def test_relative_volumes_against_gram_oracle():
+    # vol(piece)^2 / vol(parent)^2 = gram(piece) / gram(parent), on pieces
+    # of one and of two subdivision levels
+    rng = random.Random(71)
+    for rank in (2, 3, 4, 5):
+        sx = _random_simplex(rng, rank, 6)
+        pieces = barycentric_subdivide(SimplicialComplex([sx])).tops()
+        vols = relative_volumes(sx, pieces)
+        assert sum(vols) == 1
+        # the second level inside one first-level piece
+        i = rng.randrange(len(pieces))
+        inner = barycentric_subdivide(SimplicialComplex([pieces[i]])).tops()
+        inner_vols = relative_volumes(sx, inner)
+        assert sum(inner_vols) == vols[i]
+        for piece, vol in zip(pieces + inner, vols + inner_vols):
+            assert vol ** 2 == _gram(piece) / _gram(sx)
+
+
+def test_relative_volume_of_a_piece_outside_the_parent():
+    # in the affine hull but outside the parent: the volume ratio still holds
+    parent = Simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    moved = Simplex([(3, 3, 0), (4, 3, 0), (3, 4, 0)])
+    doubled = Simplex([(-1, 0, 0), (1, 0, 0), (-1, 2, 0)])
+    assert relative_volumes(parent, [moved, doubled]) == [1, 4]
+
+
+def test_relative_volumes_reject_other_ranks_and_off_hull_pieces():
+    parent = Simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0)])  # in z = 0
+    with pytest.raises(InputError, match="rank"):
+        relative_volumes(parent, [Simplex([(0, 0, 0), (1, 0, 0)])])
+    lifted = Simplex([(0, 0, 0), (1, 0, 0), (0, 1, 1)])
+    parallel = Simplex([(0, 0, 1), (1, 0, 1), (0, 1, 1)])  # in z = 1
+    for piece in (lifted, parallel):
+        with pytest.raises(InputError, match="affine hull"):
+            relative_volumes(parent, [piece])
+
+
+def _non_pure_complex(rng):
+    """Random faces of one random simplex, closed, with tops of mixed rank."""
+    while True:
+        rank = rng.randint(3, 4)
+        sx = _random_simplex(rng, rank, rng.randint(rank - 1, 4))
+        faces = sx.faces() + [sx]
+        cx = SimplicialComplex(rng.sample(faces, rng.randint(2, 5)))
+        if len({s.rank for s in cx.tops()}) > 1:
+            return cx
+
+
+def _scanned_tops(cx):
+    # an identical complex without preset tops runs the cover scan
+    return SimplicialComplex(list(cx.simplices), close=False).tops()
+
+
+def test_subdivision_tops_match_the_cover_scan():
+    rng = random.Random(37)
+    fan = SimplicialComplex([Simplex([(0, 0), (1, 0), (0, 1)]),
+                             Simplex([(1, 0), (0, 1), (1, 1)]),
+                             Simplex([(1, 1), (2, 2)])])
+    complexes = [fan] + [_non_pure_complex(rng) for _ in range(12)]
+    assert len({s.rank for s in fan.tops()}) == 2
+    for cx in complexes:
+        sub = bsd_with_parents(cx)[0]
+        assert sub.tops() == _scanned_tops(sub)
+        twice = bsd_with_parents(sub)[0]
+        assert twice.tops() == _scanned_tops(twice)
+    tree = SubdividedComplex(fan).refine(2)
+    for level in tree.levels:
+        assert level.tops() == _scanned_tops(level)
+
+
 def test_estbsd_bound_on_random_simplices():
     rng = random.Random(99)
     for _ in range(50):
