@@ -3,11 +3,13 @@
 Given a map on a finite complex, a compact-open neighbourhood (a finite
 intersection of "image of K inside W" constraints), a frozen carrier, and
 a filtered-space model, the engine runs the rank induction: normalize
-constraints to per-cell form by refinement, assign a well-filled chart
-with nested cores to every maximal cell, recurse on the skeleton, and
-assemble the three-branch homotopy (chart-affine contraction on the first
-half, filled boundary extension on the second, frozen values on the
-carrier).  A separate pass pushes the finitely many anchor values that
+constraints to per-cell form by refinement, give every maximal cell a
+chart core holding its image, recurse on the skeleton, and assemble the
+three-branch homotopy (affine contraction on the first half, filled
+boundary extension on the second, frozen values on the carrier).  The
+models are open subsets of R^D whose charts are the identity, so a chart
+is known by its core region and every value is computed in model
+coordinates.  A separate pass pushes the finitely many anchor values that
 miss the step union onto nearby rational step points before re-running
 the homotopy, yielding maps supported in one finite step together with
 exact support certificates.
@@ -21,8 +23,7 @@ from itertools import combinations
 from ascolim.errors import (AbsorptionError, ChartCoverError, InputError,
                             ResolutionExceededError)
 from ascolim.filling import cone_decomposition
-from ascolim.filtered_spaces import (AffineMap, CompactSample,
-                                     WellFilledChart, identity_chart,
+from ascolim.filtered_spaces import (CompactSample, identity_chart,
                                      quarter_core, shrink_chart)
 from ascolim.geometry import (Outside, Simplex, affine_lipschitz_sq_bound,
                               combine, sqdist, sqdist_point_simplex)
@@ -34,17 +35,22 @@ from ascolim.regions import (CoordinatePlaneComplement, FullSpace, HalfSpace,
 from ascolim.simplicial import SubdividedComplex
 
 
+#: dyadic halvings tried for chart radii and for the anchor push radius
+BISECTION_DEPTH = 40
+#: radius of the first ball tried around a chart centre
+MAX_CHART_RADIUS = RAT(1)
+#: denominator of the rational step points pushed anchor values land on
+ROUNDING_DENOMINATOR = 2 ** 40
+
+
 @dataclass
 class EngineConfig:
     """Deterministic knobs; equal configs give identical engines."""
 
     max_subdivision: int = 6
-    bisection_depth: int = 40
     bake_level: int = 1
     t_grid: int = 50
     probe_per_cell: int = 2
-    max_chart_radius: object = 1
-    rounding_denominator: int = 2 ** 40
     seed: int = 0
 
     def __post_init__(self):
@@ -202,32 +208,21 @@ def _random_weights(rng, k):
 # -- chart provision ---------------------------------------------------------
 
 
-@dataclass
-class ChartAssignment:
-    chart: WellFilledChart
-    core4: Region
-
-    def to_image(self, p):
-        return self.chart.phi(tuple(p))
-
-    def from_image(self, v):
-        return self.chart.phi.inverse_apply(tuple(v))
-
-
 class ChartProvider:
-    """Charts with nested cores around points of the model.
+    """Chart cores around points of the model.
 
-    Prefers maximal convex cores: when the target neighbourhood splits
-    into convex parts and coordinate-plane complements, the chart image is
-    the convex intersection of those parts with one separating halfspace
-    per removed plane, and both cores equal the image (the convex-image
-    regime).  Otherwise falls back to ball cores found by bisection, with
-    the quarter-core pass for the inner core.
+    Every chart of a model is the identity on its open carrier, so a chart
+    is known by its core region and the engine computes in model
+    coordinates.  Prefers maximal convex cores: when the target
+    neighbourhood splits into convex parts and coordinate-plane
+    complements, the core is the convex intersection of those parts with
+    one separating halfspace per removed plane (the convex-image regime).
+    Otherwise falls back to ball cores found by bisection, with the
+    quarter-core pass for the inner core.
     """
 
-    def __init__(self, model, config):
+    def __init__(self, model):
         self.model = model
-        self.config = config
 
     def chart_at(self, q, target):
         q = tuple(q)
@@ -243,26 +238,16 @@ class ChartProvider:
                     break
                 pieces.append(hs)
             if usable:
-                image = Intersection(pieces) if pieces \
+                core = Intersection(pieces) if pieces \
                     else FullSpace(self.model.ambient_dim)
-                if image.contains(q):
-                    chart = WellFilledChart(
-                        filtration=self.model.filtration,
-                        domain=image,
-                        phi=AffineMap.identity(self.model.ambient_dim),
-                        image=image,
-                        core=image,
-                        alpha0=self.model.filtration.labels[0],
-                        label="convex-core",
-                    )
-                    return ChartAssignment(chart=chart, core4=image)
-        return self._ball_chart(q, target)
+                if core.contains(q):
+                    return core
+        return self._ball_core(q, target)
 
-    def _ball_chart(self, q, target):
-        cfg = self.config
-        rho = to_rat(cfg.max_chart_radius)
+    def _ball_core(self, q, target):
+        rho = MAX_CHART_RADIUS
         base_core = None
-        for _ in range(cfg.bisection_depth):
+        for _ in range(BISECTION_DEPTH):
             ball = OpenBall(q, rho)
             if region_subset(ball, self.model.carrier) is True:
                 base_core = ball
@@ -272,13 +257,10 @@ class ChartProvider:
             raise ChartCoverError(
                 f"no ball around {q!r} certifies inside the carrier")
         base = identity_chart(self.model, base_core)
-        shrunk = shrink_chart(base, q, target,
-                              max_radius=to_rat(cfg.max_chart_radius),
-                              depth=cfg.bisection_depth)
-        core4 = quarter_core(shrunk, q,
-                             max_radius=to_rat(cfg.max_chart_radius),
-                             depth=cfg.bisection_depth)
-        return ChartAssignment(chart=shrunk, core4=core4)
+        shrunk = shrink_chart(base, q, target, max_radius=MAX_CHART_RADIUS,
+                              depth=BISECTION_DEPTH)
+        return quarter_core(shrunk, q, max_radius=MAX_CHART_RADIUS,
+                            depth=BISECTION_DEPTH)
 
 
 def _flatten_region(region):
@@ -329,7 +311,7 @@ class ThetaEngine:
         self.tree = tree
         self.rank = rank
         self.spec = spec              # normalized input spec at this level
-        self.charts = charts          # final top key -> ChartAssignment
+        self.charts = charts          # final top key -> chart core region
         self.anchors = anchors        # final top key -> anchor vertex
         self.frozen_keys = frozen_keys
         self.sub = sub_engine
@@ -367,59 +349,44 @@ class ThetaEngine:
             return self._skeleton_value(session, x, t, face)
         if top.key in self.frozen_keys:
             return tuple(gamma(x))
-        assign = self.charts[top.key]
         if 2 * t <= 1:
-            gx = assign.to_image(gamma(x))
-            fill_val = self._fill_gamma(session, assign, top, x)
             s = 2 * t
-            mixed = tuple((1 - s) * a + s * b for a, b in zip(gx, fill_val))
-            return tuple(assign.from_image(mixed))
-        s = 2 * t - 1
-        val = self._fill_theta(session, assign, top, x, s)
-        return tuple(assign.from_image(val))
+            fill_val = self._fill(session, top, x, None)
+            return tuple((1 - s) * a + s * b
+                         for a, b in zip(gamma(x), fill_val))
+        return self._fill(session, top, x, 2 * t - 1)
 
     def _skeleton_value(self, session, x, t, face_hint):
         if 2 * t <= 1:
             return tuple(session.gamma(x))
         return self.sub.theta(session, x, 2 * t - 1, hint=face_hint)
 
-    def _anchor_value_gamma(self, session, assign, top):
-        key = ("anchor-gamma", top.key)
-        if key not in session.cache:
-            session.cache[key] = assign.to_image(
-                session.gamma(self.anchors[top.key]))
-        return session.cache[key]
+    def _fill(self, session, top, x, s):
+        """Filled boundary extension over ``top`` at ``x``: of ``gamma``
+        when ``s`` is None, else of the sub-engine's slice ``s``.
 
-    def _anchor_value_theta(self, session, assign, top, s):
-        key = ("anchor-theta", top.key, s)
+        The anchor value is cached per ``(top, s)``; only the sub-engine
+        gets the exit face as its location hint, since ``gamma`` is
+        defined on the base complex.
+        """
+        cd = cone_decomposition(top, x)
+        key = ("anchor", top.key, s)
         if key not in session.cache:
             anchor = self.anchors[top.key]
-            session.cache[key] = assign.to_image(
-                self.sub.theta(session, anchor, s))
-        return session.cache[key]
-
-    def _fill_gamma(self, session, assign, top, x):
-        """Filled boundary extension of ``phi . gamma`` evaluated at x."""
-        cd = cone_decomposition(top, x)
-        anchor_val = self._anchor_value_gamma(session, assign, top)
+            session.cache[key] = tuple(
+                session.gamma(anchor) if s is None
+                else self.sub.theta(session, anchor, s))
+        anchor_val = session.cache[key]
         if cd.t == 1:
             return anchor_val
         y = cd.boundary_point(top)
-        gy = assign.to_image(session.gamma(y))
+        if s is None:
+            value = session.gamma(y)
+        else:
+            face = Simplex.trusted([top.vertices[i] for i in cd.indices])
+            value = self.sub.theta(session, y, s, hint=face)
         return tuple(cd.t * a + (1 - cd.t) * b
-                     for a, b in zip(anchor_val, gy))
-
-    def _fill_theta(self, session, assign, top, x, s):
-        """Filled extension of ``phi . Theta*(gamma, ., s)`` at x."""
-        cd = cone_decomposition(top, x)
-        anchor_val = self._anchor_value_theta(session, assign, top, s)
-        if cd.t == 1:
-            return anchor_val
-        y = cd.boundary_point(top)
-        face = Simplex.trusted([top.vertices[i] for i in cd.indices])
-        ty = assign.to_image(self.sub.theta(session, y, s, hint=face))
-        return tuple(cd.t * a + (1 - cd.t) * b
-                     for a, b in zip(anchor_val, ty))
+                     for a, b in zip(anchor_val, value))
 
 
 class BoundTheta:
@@ -489,22 +456,24 @@ def _cell_regions_for(tree, spec, ambient_dim):
     return out
 
 
-def _constraints_hold(tree, gamma0, cell_regions, rng, probes):
+def _first_violation(tree, gamma0, cell_regions, rng, probes):
+    """The first final top whose image leaves its constraint region."""
     hull_ok = _is_pl(gamma0)
-    return all(
-        _image_inside(cell_regions[cell.key], gamma0, cell, hull_ok, rng,
-                      probes)[0]
-        for cell in tree.final.tops()
-        if not isinstance(cell_regions[cell.key], FullSpace))
+    return next(
+        (cell for cell in tree.final.tops()
+         if not isinstance(cell_regions[cell.key], FullSpace)
+         and not _image_inside(cell_regions[cell.key], gamma0, cell,
+                               hull_ok, rng, probes)[0]),
+        None)
 
 
-def _charts_fit(tree, gamma0, cell_regions, provider, config):
-    """Charts per maximal cell whose inner core holds the cell image.
+def _charts_fit(tree, gamma0, cell_regions, provider):
+    """Chart cores per maximal cell that hold the cell image.
 
-    Candidate anchors per cell: the image barycenter, then the vertex
-    images; ties break by least squared distance between the inner-core
-    center and the barycenter image.  Returns ``None`` when some cell has
-    no admissible chart at this refinement level.
+    Candidate centres per cell: the image barycenter, then the vertex
+    images; ties break by least squared distance between the core centre
+    and the barycenter image.  Returns ``(cores, None)``, or ``(None,
+    cell)`` for the first cell with no admissible chart at this level.
     """
     hull_ok = _is_pl(gamma0)
     charts = {}
@@ -515,24 +484,27 @@ def _charts_fit(tree, gamma0, cell_regions, provider, config):
         best = None
         for q in [bary_img] + values:
             try:
-                assign = provider.chart_at(q, region)
+                core = provider.chart_at(q, region)
             except (ChartCoverError, ResolutionExceededError, InputError):
                 continue
-            fit = assign.core4.contains_hull(values) if hull_ok \
-                else all(assign.core4.contains(v) for v in values)
+            fit = core.contains_hull(values) if hull_ok \
+                else all(core.contains(v) for v in values)
             if fit is True:
-                center = getattr(assign.core4, "center", None)
+                center = getattr(core, "center", None)
                 if center is None:
-                    center = getattr(
-                        getattr(assign.core4, "parts", [None])[0],
-                        "center", q)
+                    center = getattr(getattr(core, "parts", [None])[0],
+                                     "center", q)
                 dist = sqdist(center, bary_img)
                 if best is None or dist < best[0]:
-                    best = (dist, assign)
+                    best = (dist, core)
         if best is None:
-            return None
+            return None, cell
         charts[cell.key] = best[1]
-    return charts
+    return charts, None
+
+
+def _point_text(p):
+    return "(" + ", ".join(str(c) for c in p) + ")"
 
 
 def build_engine(tree, gamma0, spec, frozen_pred, model, config, rng=None):
@@ -542,7 +514,9 @@ def build_engine(tree, gamma0, spec, frozen_pred, model, config, rng=None):
     carrier through its root in the original complex.  The refinement
     level is the least one passing both the constraint-normalization and
     the chart-fit pass, mirroring the Lebesgue-number step at the
-    certified level.
+    certified level.  When no level up to ``max_subdivision`` passes,
+    ``ChartCoverError`` names the last level, the pass that failed there
+    and its first failing cell with the cell's vertex images.
     """
     rng = rng or random.Random(config.seed)
     rank = tree.final.rank
@@ -553,21 +527,27 @@ def build_engine(tree, gamma0, spec, frozen_pred, model, config, rng=None):
             anchor_points=sorted(tree.final.vertices()),
             p_spec=spec, model=model, config=config)
 
-    provider = ChartProvider(model, config)
-    charts = None
-    for _ in range(config.max_subdivision + 1):
+    provider = ChartProvider(model)
+    for level in range(config.max_subdivision + 1):
+        if level:
+            tree.refine()
         cell_regions = _cell_regions_for(tree, spec, model.ambient_dim)
-        if _constraints_hold(tree, gamma0, cell_regions, rng,
-                             config.probe_per_cell):
-            charts = _charts_fit(tree, gamma0, cell_regions, provider,
-                                 config)
+        failed = "constraint"
+        bad = _first_violation(tree, gamma0, cell_regions, rng,
+                               config.probe_per_cell)
+        if bad is None:
+            failed = "chart-fit"
+            charts, bad = _charts_fit(tree, gamma0, cell_regions, provider)
             if charts is not None:
                 break
-        tree.refine()
-    if charts is None:
+    else:
+        cell = ", ".join(_point_text(v) for v in bad.vertices)
+        images = ", ".join(_point_text(v) for v in _map_values(gamma0, bad))
         raise ChartCoverError(
-            "no refinement level admits a certified chart cover "
-            f"within {config.max_subdivision} subdivisions")
+            "no refinement level admits a certified chart cover within "
+            f"{config.max_subdivision} subdivisions: at level {level} the "
+            f"{failed} pass fails on the cell [{cell}] with vertex images "
+            f"[{images}]")
 
     final = tree.final
     tops = final.tops()
@@ -579,9 +559,7 @@ def build_engine(tree, gamma0, spec, frozen_pred, model, config, rng=None):
     skeleton = final.skeleton(rank - 1)
     core_by_face = {}
     for T in tops:
-        if T.key not in charts:
-            continue
-        core = charts[T.key].core4
+        core = charts[T.key]
         for k in range(1, T.rank + 1):
             for idx in combinations(T.vertices, k):
                 core_by_face.setdefault(frozenset(idx), []).append(core)
@@ -605,8 +583,7 @@ def build_engine(tree, gamma0, spec, frozen_pred, model, config, rng=None):
     anchors = {T.key: min(T.vertices) for T in tops if T.rank == rank}
 
     p_constraints = list(sub_engine.P) + [
-        Constraint(subset=T, region=charts[T.key].core4)
-        for T in tops if T.key in charts]
+        Constraint(subset=T, region=charts[T.key]) for T in tops]
     p_spec = NeighborhoodSpec(p_constraints)
 
     return ThetaEngine(
@@ -679,10 +656,11 @@ def _relative_sqdist(relative, x):
     return min(sqdist_point_simplex(x, s) for s in relative.tops())
 
 
-def _push_targets(engine, gamma0, model, config):
-    """Chart, rounded step-union target, per anchor value off the union."""
+def _push_targets(engine, gamma0, model):
+    """Chart core and rounded step-union target, per anchor value off the
+    union."""
     filt = model.filtration
-    provider = ChartProvider(model, config)
+    provider = ChartProvider(model)
     moved = []
     for x in (tuple(p) for p in engine.S):
         gx = tuple(gamma0(x))
@@ -692,27 +670,25 @@ def _push_targets(engine, gamma0, model, config):
                    if con.domain_contains(x)]
         target = Intersection(regions) if regions \
             else FullSpace(model.ambient_dim)
-        assign = provider.chart_at(gx, target)
-        vq = assign.to_image(gx)
-        den = config.rounding_denominator
-        projected = filt.project(vq, filt.top)
+        core = provider.chart_at(gx, target)
+        den = ROUNDING_DENOMINATOR
+        projected = filt.project(gx, filt.top)
         v_x = tuple(RAT(round(c * den), den) for c in projected)
-        ok = assign.core4.contains(v_x) \
-            and model.carrier.contains(assign.from_image(v_x)) \
+        ok = core.contains(v_x) and model.carrier.contains(v_x) \
             and filt.subspace_contains(filt.top, v_x)
         if not ok:
             raise ResolutionExceededError(
                 f"no admissible step-union target near {gx!r}")
-        moved.append((x, gx, assign, v_x))
+        moved.append((x, gx, core, v_x))
     return moved
 
 
-def _epsilon_for(moved, engine, gamma0, relative, config):
+def _epsilon_for(moved, engine, gamma0, relative):
     """Dyadic push radius satisfying every exact disjointness and image
     condition; raises when the bisection depth is exhausted."""
     s_points = [tuple(p) for p in engine.S]
     eps = RAT(1)
-    for _ in range(config.bisection_depth):
+    for _ in range(BISECTION_DEPTH):
         if _epsilon_ok(eps, moved, s_points, engine, gamma0, relative):
             return eps
         eps = eps / 2
@@ -721,7 +697,7 @@ def _epsilon_for(moved, engine, gamma0, relative, config):
 
 def _epsilon_ok(eps, moved, s_points, engine, gamma0, relative):
     eps_sq = eps * eps
-    for (x, gx, assign, v_x) in moved:
+    for (x, gx, core, v_x) in moved:
         for y in s_points:
             if tuple(y) == x:
                 continue
@@ -742,7 +718,7 @@ def _epsilon_ok(eps, moved, s_points, engine, gamma0, relative):
                 continue
             values = [tuple(gamma0(v)) for v in cell.vertices]
             l_sq = affine_lipschitz_sq_bound(cell, values)
-            if not _ball_in_region_sq(gx, eps_sq * l_sq, assign.core4):
+            if not _ball_in_region_sq(gx, eps_sq * l_sq, core):
                 return False
     return True
 
@@ -802,17 +778,15 @@ def _make_push_map(gamma0, centers, eps):
 
     def g_map(z, t):
         z = tuple(z)
-        for (x, gx, assign, v_x) in centers:
+        gz = tuple(gamma0(z))
+        for (x, _, _, v_x) in centers:
             d_sq = sqdist(z, x)
             if d_sq <= eps_sq:
                 q = d_sq / eps_sq
-                phi_gz = assign.to_image(gamma0(z))
-                bumped = tuple((1 - q) * v + q * g
-                               for v, g in zip(v_x, phi_gz))
-                mixed = tuple(t * b + (1 - t) * g
-                              for b, g in zip(bumped, phi_gz))
-                return tuple(assign.from_image(mixed))
-        return tuple(gamma0(z))
+                bumped = tuple((1 - q) * v + q * g for v, g in zip(v_x, gz))
+                return tuple(t * b + (1 - t) * g
+                             for b, g in zip(bumped, gz))
+        return gz
 
     return g_map
 
@@ -842,14 +816,14 @@ def individual_approximation(complex_, gamma0, spec, relative, model,
 
     _, _, engine = simultaneous_approximation(complex_, gamma0, spec,
                                               relative, model, config)
-    moved = _push_targets(engine, gamma0, model, config)
+    moved = _push_targets(engine, gamma0, model)
 
     if not moved:
         start_map = gamma0
         bound_final = BoundTheta(engine, gamma0)
         homotopy = bound_final.__call__
     else:
-        eps = _epsilon_for(moved, engine, gamma0, relative, config)
+        eps = _epsilon_for(moved, engine, gamma0, relative)
         g_map = _make_push_map(gamma0, moved, eps)
         sessions = {}
 

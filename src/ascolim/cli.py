@@ -13,7 +13,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 
 from ascolim import KERNEL_BACKEND, __version__
 from ascolim import serialization as ser
@@ -27,28 +26,6 @@ from ascolim.geometry import Simplex
 from ascolim.invariants import (component_union_check, palais_experiment,
                                 pi0_report, pi1_directlimit_experiment)
 from ascolim.simplicial import max_diameter_sq, subdivide_until
-
-
-@dataclass
-class RunConfig:
-    """Deterministic run parameters; identical configs reproduce reports."""
-
-    seed: int = 0
-    t_grid: int = 50
-    bake_level: int = 1
-    max_subdivision: int = 8
-    bisection_depth: int = 40
-    probe_per_cell: int = 2
-
-    def engine(self):
-        return EngineConfig(
-            max_subdivision=self.max_subdivision,
-            bisection_depth=self.bisection_depth,
-            bake_level=self.bake_level,
-            t_grid=self.t_grid,
-            probe_per_cell=self.probe_per_cell,
-            seed=self.seed,
-        )
 
 
 def _load(path):
@@ -171,7 +148,7 @@ def cmd_approximate(args, config):
     alpha = model.filtration.labels[0] if args.alpha is None \
         else _parse_label(model, args.alpha)
     record = individual_approximation(cx, gamma, spec, relative, model,
-                                      alpha=alpha, config=config.engine())
+                                      alpha=alpha, config=config)
     plan = SamplingPlan(points_per_cell=config.probe_per_cell,
                         t_points=min(10, config.t_grid),
                         seed=config.seed)
@@ -202,7 +179,6 @@ def _parse_label(model, text):
 
 
 def cmd_experiment(args, config):
-    engine = config.engine()
     if args.kind == "pi0":
         if not args.graph:
             raise InputError("experiment pi0 needs --graph")
@@ -227,7 +203,7 @@ def cmd_experiment(args, config):
                  for a, b in _load(args.pairs)["pairs"]]
 
     if args.kind == "pi1":
-        report = pi1_directlimit_experiment(model, probes, pairs, engine)
+        report = pi1_directlimit_experiment(model, probes, pairs, config)
         report.pop("legs")
         report.pop("pair_legs")
         rows = [{"label": leg["label"],
@@ -251,7 +227,7 @@ def cmd_experiment(args, config):
         if args.graph:
             cmodel = ser.obj_to_component_model(_load(args.graph))
         report = palais_experiment(model, cmodel=cmodel, loops=probes,
-                                   pairs=pairs, config=engine,
+                                   pairs=pairs, config=config,
                                    rng=random.Random(config.seed))
         _emit(report, args.out)
         ok = report.get("pi0", {}).get("bijective", True) and \
@@ -347,10 +323,10 @@ def main(argv=None):
     if not getattr(args, "fn", None):
         parser.print_help()
         return 2
-    config = RunConfig(seed=args.seed, t_grid=args.t_grid,
-                       bake_level=args.bake_level,
-                       max_subdivision=args.max_subdivision)
     try:
+        config = EngineConfig(seed=args.seed, t_grid=args.t_grid,
+                              bake_level=args.bake_level,
+                              max_subdivision=args.max_subdivision)
         return args.fn(args, config)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

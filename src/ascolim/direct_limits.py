@@ -12,6 +12,7 @@ normal-form chains (injective bondings with a declared canonical form).
 from dataclasses import dataclass
 from itertools import product
 
+from ascolim import linalg
 from ascolim.errors import InputError
 
 
@@ -287,19 +288,6 @@ def _mat_mul(a, b):
                  for i in range(len(a)))
 
 
-def _det_int(mat):
-    n = len(mat)
-    if n == 0:
-        return 1
-    if n == 1:
-        return mat[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        total += (-1) ** j * mat[0][j] * _det_int(minor)
-    return total
-
-
 class DirectSystemOfAbelianGroups:
     """Chain of ``Z^k`` groups with integer bonding matrices.
 
@@ -331,8 +319,8 @@ class DirectSystemOfAbelianGroups:
             for i in range(start, len(self.labels) - 1):
                 a, b = self.labels[i], self.labels[i + 1]
                 m = self.bondings[(b, a)]
-                if self.dims[a] != self.dims[b] or abs(_det_int(
-                        [list(r) for r in m])) != 1:
+                if self.dims[a] != self.dims[b] or linalg.abs_det(
+                        [v for r in m for v in r], self.dims[a]) != 1:
                     raise InputError(
                         f"bonding {a!r}->{b!r} is not an isomorphism "
                         "in the stable range")
@@ -341,7 +329,6 @@ class DirectSystemOfAbelianGroups:
                 a, b = self.labels[i], self.labels[i + 1]
                 m = self.bondings[(b, a)]
                 # injectivity of an integer matrix: full column rank
-                from ascolim import linalg
                 if linalg.rank([list(r) for r in m]) != self.dims[a]:
                     raise InputError(f"bonding {a!r}->{b!r} not injective")
         else:

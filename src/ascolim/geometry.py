@@ -1,7 +1,7 @@
 """Scalars, points and affine simplices.
 
-Every scalar is an exact rational (``int``, ``Fraction`` or gmpy2's
-``mpq``), and a point is a plain tuple of scalars.  ``as_point`` builds
+Every scalar is an exact rational (``int`` or ``Fraction``), and a point
+is a plain tuple of scalars.  ``as_point`` builds
 one from outside coordinates and raises ``InputError`` on a float or any
 other inexact value; query methods take exact points and use them as
 given.  A simplex stores its vertices in construction order and owns a

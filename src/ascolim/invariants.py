@@ -197,7 +197,7 @@ class ComponentModel:
                 p, q = self.nodes[i], self.nodes[j]
                 ok_sub = self.model.filtration.subspace_contains(a, p) \
                     and self.model.filtration.subspace_contains(a, q)
-                got = self.model.carrier.contains_segment(p, q)
+                got = self.model.carrier.contains_hull([p, q])
                 report.append({"step": str(a), "edge": (i, j),
                                "subspace": ok_sub,
                                "carrier": got if got is not None
@@ -206,8 +206,8 @@ class ComponentModel:
                     raise InputError(f"edge {(i, j)} not certified "
                                      f"in step {a!r}")
         for (i, j) in self.ambient_edges:
-            got = self.model.carrier.contains_segment(self.nodes[i],
-                                                      self.nodes[j])
+            got = self.model.carrier.contains_hull([self.nodes[i],
+                                                    self.nodes[j]])
             if got is False:
                 raise InputError(f"ambient edge {(i, j)} leaves the carrier")
         return report

@@ -5,7 +5,8 @@ Everything here is desk-scale (matrices of a handful of rows/columns).
 exact scalars.  ``solve_nonneg``, the one nonnegative-feasibility routine
 every caller shares, scales rows to integers once and solves each column
 support by fraction-free elimination (Bareiss 1968), so it builds exact
-rationals only for the solution it returns.
+rationals only for the solution it returns.  ``abs_det`` takes integer
+determinants by the same elimination.
 """
 
 from itertools import combinations
@@ -116,6 +117,14 @@ def _fraction_free(m, ncols):
         if len(pivots) == len(m):
             break
     return pivots, det
+
+
+def abs_det(flat, n):
+    """Absolute determinant of the ``n x n`` integer matrix given row by
+    row in ``flat``, by fraction-free elimination."""
+    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+    pivots, det = _fraction_free(rows, n)
+    return abs(det) if len(pivots) == n else 0
 
 
 def solve_nonneg(mat, rhs, max_support=None, require=()):

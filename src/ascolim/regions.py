@@ -6,8 +6,9 @@ intersections, unions, complements and translations.  Membership of a
 rational point is decided exactly; each node reports convexity and
 openness.  On top of plain membership the module offers partial symbolic
 reasoning: ``region_subset`` answers ``A ⊆ B`` for the primitive pairs
-chart surgery needs (``None`` means "unknown, sample-check"), and segment
-and simplex containment are exact for convex nodes and for the plane
+chart surgery needs (``None`` means "unknown, sample-check"), and
+``contains_hull`` decides containment of a point set's convex hull (a
+segment, a simplex) exactly for convex nodes and for the plane
 complement.
 """
 
@@ -27,12 +28,6 @@ class Region:
     def contains(self, x):
         raise NotImplementedError
 
-    def contains_segment(self, p, q):
-        """Exact segment containment where decidable, else ``None``."""
-        if self.is_convex:
-            return self.contains(p) and self.contains(q)
-        return None
-
     def contains_hull(self, points):
         """Exact containment of ``conv(points)`` where decidable.
 
@@ -42,10 +37,6 @@ class Region:
         if self.is_convex:
             return all(self.contains(p) for p in points)
         return None
-
-    def contains_simplex(self, simplex):
-        """Exact simplex containment where decidable, else ``None``."""
-        return self.contains_hull(simplex.vertices)
 
     def translate(self, shift):
         return Translate(self, shift)
@@ -165,17 +156,6 @@ class CoordinatePlaneComplement(Region):
     def contains(self, x):
         return x[self.i] != 0 or x[self.j] != 0
 
-    def contains_segment(self, p, q):
-        if not (self.contains(p) and self.contains(q)):
-            return False
-        a = (p[self.i], p[self.j])
-        b = (q[self.i], q[self.j])
-        cross = a[0] * b[1] - a[1] * b[0]
-        if cross != 0:
-            return True
-        # colinear with the origin: hits it iff 0 is between a and b
-        return dot(a, b) > 0
-
     def contains_hull(self, points):
         pts = list(points)
         rows = [[p[self.i] for p in pts],
@@ -214,10 +194,6 @@ class Translate(Region):
     def contains(self, x):
         return self.region.contains(vsub(x, self.shift))
 
-    def contains_segment(self, p, q):
-        return self.region.contains_segment(vsub(p, self.shift),
-                                            vsub(q, self.shift))
-
     def contains_hull(self, points):
         return self.region.contains_hull([vsub(p, self.shift)
                                           for p in points])
@@ -240,14 +216,6 @@ class Intersection(Region):
 
     def contains(self, x):
         return all(p.contains(x) for p in self.parts)
-
-    def contains_segment(self, p, q):
-        got = [part.contains_segment(p, q) for part in self.parts]
-        if all(g is True for g in got):
-            return True
-        if any(g is False for g in got):
-            return False
-        return None
 
     def contains_hull(self, points):
         got = [part.contains_hull(points) for part in self.parts]
@@ -277,13 +245,6 @@ class Union(Region):
 
     def contains(self, x):
         return any(p.contains(x) for p in self.parts)
-
-    def contains_segment(self, p, q):
-        if any(part.contains_segment(p, q) for part in self.parts):
-            return True
-        if not (self.contains(p) and self.contains(q)):
-            return False
-        return None
 
     def contains_hull(self, points):
         if any(part.contains_hull(points) for part in self.parts):

@@ -504,7 +504,7 @@ def relative_volumes(parent, pieces):
             nums, den = scale_common(coeffs + [offset])
             hull_rows.append((d, den, nums[:-1], nums[-1]))
     nums, den = scale_common([e[s] for e in edges for s in sel])
-    parent_det = _abs_det(nums, r - 1)
+    parent_det = linalg.abs_det(nums, r - 1)
     parent_den = den ** (r - 1)
     out = []
     for piece in pieces:
@@ -519,15 +519,7 @@ def relative_volumes(parent, pieces):
                 if row_den * x[d] - sum(c * x[s] for c, s in
                                         zip(coeffs, sel)) != offset * den:
                     raise InputError("piece not in the parent affine hull")
-        det = _abs_det([x[s] - pts[0][s] for x in pts[1:] for s in sel],
-                       r - 1)
+        det = linalg.abs_det(
+            [x[s] - pts[0][s] for x in pts[1:] for s in sel], r - 1)
         out.append(RAT(det * parent_den, parent_det * den ** (r - 1)))
     return out
-
-
-def _abs_det(flat, n):
-    """Absolute determinant of the ``n x n`` integer matrix given row by
-    row in ``flat``, by fraction-free elimination."""
-    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
-    pivots, det = linalg._fraction_free(rows, n)
-    return abs(det) if len(pivots) == n else 0

@@ -11,6 +11,7 @@ from ascolim.approximation import (BoundTheta, Constraint, EngineConfig,
                                    simultaneous_approximation,
                                    verify_theta_properties)
 from ascolim.errors import InputError
+from ascolim.filling import fill
 from ascolim.filtered_spaces import (CompactSample, FilteredSpaceModel,
                                      Filtration)
 from ascolim.geometry import Simplex, combine
@@ -112,6 +113,33 @@ def test_square_loop_engine_properties():
     assert report["relative"] is True
     assert report["d"]["beta"] == 1
     assert report["d"]["escaped"] is None
+
+
+def test_half_time_slice_is_the_filled_map_on_each_top():
+    # at t = 1/2 the affine contraction has reached the filled boundary
+    # extension of the input map from each top's anchor vertex
+    cx, corners = square_domain()
+    loop = loop_map(cx, corners, pert=((1, 1), {2: F(1, 5), 3: F(-1, 7)}))
+    tri = SimplicialComplex([Simplex([(0, 0), (2, 0), (0, 2)])])
+    patch = PLMap(tri, {(0, 0): (F(1), F(0), F(0), F(0)),
+                        (2, 0): (F(3), F(1), F(0), F(0)),
+                        (0, 2): (F(1), F(2), F(1, 2), F(0))})
+    model = plane_model()
+    spec = NeighborhoodSpec([Constraint("all", model.carrier)])
+    rng = random.Random(3)
+    for domain, gamma in ((cx, loop), (tri, patch)):
+        _, _, engine = simultaneous_approximation(domain, gamma, spec, None,
+                                                  model, CONFIG)
+        session = BoundTheta(engine, gamma)
+        tops = [c for c in engine.tree.final.tops()
+                if c.rank == engine.rank and c.key not in engine.frozen_keys]
+        assert tops
+        for cell in tops:
+            filled = fill(cell, engine.anchors[cell.key], gamma)
+            for _ in range(2):
+                w = [F(rng.randint(1, 5)) for _ in range(cell.rank)]
+                x = combine(cell.vertices, [wi / sum(w) for wi in w])
+                assert session(x, F(1, 2), hint=cell) == filled(x)
 
 
 def test_individual_approximation_freezes_and_projects():

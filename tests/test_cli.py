@@ -289,6 +289,16 @@ def test_approximate_rejects_zero_t_grid(tmp_path, capsys):
     assert "t_grid" in captured.err
 
 
+def test_engine_options_are_checked_for_every_command(tmp_path, capsys):
+    cx = SimplicialComplex([Simplex([(0,), (1,)])])
+    inp = _write(tmp_path, "cx.json", ser.complex_to_obj(cx))
+    assert main(["--t-grid", "0", "subdivide", "--input", inp,
+                 "--delta", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "t_grid" in captured.err
+
+
 def test_approximate_rejects_negative_bake_level(tmp_path, capsys):
     assert main(["--bake-level", "-1"] + _approximate_args(tmp_path)) == 2
     captured = capsys.readouterr()

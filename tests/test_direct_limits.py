@@ -250,3 +250,31 @@ def test_non_unimodular_stable_bonding_rejected():
         DirectSystemOfAbelianGroups(
             labels, {0: 1, 1: 1}, {(1, 0): ((2,),)},
             mode=("eventually-stable", 0))
+
+
+def _unit_triangular_product(rng, n):
+    """A dense integer ``n x n`` matrix of determinant 1: lower times upper
+    unit-triangular factors with random entries."""
+    low = [[1 if i == j else rng.randint(-3, 3) if j < i else 0
+            for j in range(n)] for i in range(n)]
+    up = [[1 if i == j else rng.randint(-3, 3) if j > i else 0
+           for j in range(n)] for i in range(n)]
+    return [[sum(low[i][k] * up[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def test_ten_by_ten_stable_bondings_by_determinant():
+    rng = random.Random(10)
+    m = _unit_triangular_product(rng, 10)
+    flipped = [m[1], m[0]] + m[2:]            # determinant -1
+    doubled = [[2 * v for v in m[0]]] + m[1:]  # determinant 2
+    for bonding in (m, flipped):
+        system = DirectSystemOfAbelianGroups(
+            [0, 1], {0: 10, 1: 10}, {(1, 0): bonding},
+            mode=("eventually-stable", 0))
+        assert system.lift(0, 1, (1,) + (0,) * 9) == \
+            tuple(row[0] for row in bonding)
+    with pytest.raises(InputError):
+        DirectSystemOfAbelianGroups(
+            [0, 1], {0: 10, 1: 10}, {(1, 0): doubled},
+            mode=("eventually-stable", 0))

@@ -16,6 +16,7 @@ from ascolim.geometry import (Outside, Simplex, as_point,
                               barycentric_coordinates, combine, diameter,
                               diameter_sq, sqdist)
 from ascolim.plmaps import PLMap
+from ascolim.rats import RAT, to_rat
 from ascolim.regions import HalfSpace, OpenBall
 from ascolim.simplicial import SimplicialComplex
 
@@ -144,6 +145,13 @@ def test_inexact_scalar_raises(build, bad):
     # exact rationals are the only scalars; the error names the "p/q" form
     with pytest.raises(InputError, match="p/q"):
         build(bad)
+
+
+def test_to_rat_keeps_fractions_as_given():
+    assert RAT is Fraction
+    half = F(1, 2)
+    assert to_rat(half) is half
+    assert to_rat(-3) == -3 and type(to_rat(-3)) is Fraction
 
 
 def test_sqdist_exact():

@@ -7,8 +7,9 @@ import pytest
 
 from ascolim import linalg
 from ascolim.approximation import EngineConfig
-from ascolim.errors import InputError
-from ascolim.filtered_spaces import FilteredSpaceModel, Filtration
+from ascolim.errors import ChartCoverError, InputError
+from ascolim.filtered_spaces import (AffineMap, FilteredSpaceModel,
+                                     Filtration)
 from ascolim.geometry import Simplex
 from ascolim.invariants import (ComponentModel, LoopModel,
                                 component_union_check, cyclic_vertex_order,
@@ -133,17 +134,43 @@ def test_surjectivity_leg_exact_solve_count(monkeypatch):
     # machine-independent budget on the README's square model with default
     # settings: memoized point location needs 2029 exact barycentric
     # solves (11452 when every query rescans the complex), and memoized PL
-    # values 1260 complex locates (1560 without)
+    # values 1260 complex locates (1560 without); the engine computes in
+    # model coordinates, with no affine chart map applied (1248 when every
+    # value went through an identity chart and back)
     model = plane_model(8, [(2, {0, 1}), (4, {0, 1, 2, 3})])
     probe = unit_square_loop(dim=8, reps=3)
-    calls = {"barycentric": 0, "locate": 0}
+    calls = {"barycentric": 0, "locate": 0, "__call__": 0,
+             "inverse_apply": 0}
     _count_calls(monkeypatch, calls, Simplex, "barycentric")
     _count_calls(monkeypatch, calls, SimplicialComplex, "locate")
+    _count_calls(monkeypatch, calls, AffineMap, "__call__")
+    _count_calls(monkeypatch, calls, AffineMap, "inverse_apply")
     leg = surjectivity_leg(model, probe)
     assert leg["winding_before"] == leg["winding_after"] == 3
     assert leg["beta"] == 2 and leg["grid_ok"]
     assert 0 < calls["barycentric"] <= 2100
     assert 0 < calls["locate"] <= 1300
+    assert calls["__call__"] == calls["inverse_apply"] == 0
+
+
+def test_chart_cover_error_names_level_pass_and_cell():
+    # a triangle loop about the removed plane: at level 0 no convex core
+    # around its long edges' images holds them; one subdivision suffices
+    model = plane_model(8, [(2, {0, 1}), (4, {0, 1, 2, 3})])
+    probe = LoopModel([tuple(F(c) for c in p) + (F(0),) * 6
+                       for p in [(1, 1), (-2, 1), (1, -2)]], axis=(0, 1))
+    coarse = EngineConfig(max_subdivision=0, t_grid=4, probe_per_cell=1)
+    with pytest.raises(ChartCoverError) as err:
+        surjectivity_leg(model, probe, coarse)
+    message = str(err.value)
+    assert "within 0 subdivisions: at level 0 the chart-fit pass" in message
+    # the first failing top of the polygon domain and its two images
+    assert message.endswith(
+        "fails on the cell [(1, 1), (-1, 1/3)] with vertex images "
+        "[(1, 1, 0, 0, 0, 0, 0, 0), (-2, 1, 0, 0, 0, 0, 0, 0)]")
+    fine = EngineConfig(max_subdivision=1, t_grid=4, probe_per_cell=1)
+    leg = surjectivity_leg(model, probe, fine)
+    assert leg["winding_before"] == leg["winding_after"] == 1
 
 
 def test_subdivision_build_hash_and_solve_count(monkeypatch):

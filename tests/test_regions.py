@@ -74,17 +74,17 @@ def test_plane_complement_membership_and_segments():
     assert pc.contains((1, 0, 7))
     assert not pc.contains((0, 0, 7))
     # segment through the removed plane is caught exactly
-    assert pc.contains_segment((1, 0, 0), (2, 0, 0)) is True
-    assert pc.contains_segment((1, 1, 0), (-1, -1, 0)) is False
-    assert pc.contains_segment((1, 0, 0), (-1, 1, 0)) is True
+    assert pc.contains_hull([(1, 0, 0), (2, 0, 0)]) is True
+    assert pc.contains_hull([(1, 1, 0), (-1, -1, 0)]) is False
+    assert pc.contains_hull([(1, 0, 0), (-1, 1, 0)]) is True
 
 
 def test_plane_complement_simplex_exact():
     pc = CoordinatePlaneComplement(2, 0, 1)
     good = Simplex([(1, 0), (2, 0), (1, 1)])
     bad = Simplex([(1, 1), (-1, 1), (0, -1)])  # contains the origin
-    assert pc.contains_simplex(good) is True
-    assert pc.contains_simplex(bad) is False
+    assert pc.contains_hull(good.vertices) is True
+    assert pc.contains_hull(bad.vertices) is False
 
 
 def test_plane_complement_hull_against_hull_oracle():
