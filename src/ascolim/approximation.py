@@ -327,55 +327,54 @@ class ThetaEngine:
         return SubdividedComplex(self.tree.final).refine(
             self.config.bake_level).final
 
-    def locate(self, x, hint=None):
-        top = self.tree.locate_final(x, base_hint=hint)
-        if top is None:
-            raise InputError(f"point {x!r} outside the engine domain")
-        return top
+    def theta(self, session, x, t, face=None):
+        """Evaluate the homotopy at ``(x, t)`` for the bound map.
 
-    def theta(self, session, x, t, hint=None):
-        """Evaluate the homotopy at ``(x, t)`` for the bound map."""
+        ``face`` is a base simplex holding ``x`` (the exit face or the
+        skeleton face an outer engine found), where point location starts.
+        """
         gamma = session.gamma
         if self.rank == 1:
             return tuple(gamma(x))
-        top = self.locate(x, hint)
+        hit = self.tree.locate_final(x, face)
+        if hit is None:
+            raise InputError(f"point {x!r} outside the engine domain")
+        top, coords = hit
         if top.rank < self.rank:
             return self._skeleton_value(session, x, t, top)
-        coords = top.barycentric(x)
         if any(c == 0 for c in coords):
             # on the skeleton: both branch definitions agree there
-            face_idx = [i for i, c in enumerate(coords) if c > 0]
-            face = Simplex.trusted([top.vertices[i] for i in face_idx])
+            face = Simplex.trusted(
+                [v for v, c in zip(top.vertices, coords) if c > 0])
             return self._skeleton_value(session, x, t, face)
         if top.key in self.frozen_keys:
             return tuple(gamma(x))
         if 2 * t <= 1:
             s = 2 * t
-            fill_val = self._fill(session, top, x, None)
+            fill_val = self._fill(session, top, x, coords, None)
             return tuple((1 - s) * a + s * b
                          for a, b in zip(gamma(x), fill_val))
-        return self._fill(session, top, x, 2 * t - 1)
+        return self._fill(session, top, x, coords, 2 * t - 1)
 
-    def _skeleton_value(self, session, x, t, face_hint):
+    def _skeleton_value(self, session, x, t, face):
         if 2 * t <= 1:
             return tuple(session.gamma(x))
-        return self.sub.theta(session, x, 2 * t - 1, hint=face_hint)
+        return self.sub.theta(session, x, 2 * t - 1, face)
 
-    def _fill(self, session, top, x, s):
-        """Filled boundary extension over ``top`` at ``x``: of ``gamma``
-        when ``s`` is None, else of the sub-engine's slice ``s``.
+    def _fill(self, session, top, x, coords, s):
+        """Filled boundary extension over ``top`` at ``x``, whose
+        barycentric coordinates are ``coords``: of ``gamma`` when ``s`` is
+        None, else of the sub-engine's slice ``s``.
 
-        The anchor value is cached per ``(top, s)``; only the sub-engine
-        gets the exit face as its location hint, since ``gamma`` is
-        defined on the base complex.
+        The anchor is a vertex of every finer complex, where every slice
+        keeps ``gamma``'s value (property (h)), so one ``gamma(anchor)``
+        per top serves both.  Only the sub-engine gets the exit face, since
+        ``gamma`` is defined on the base complex.
         """
-        cd = cone_decomposition(top, x)
-        key = ("anchor", top.key, s)
+        cd = cone_decomposition(top, x, coords)
+        key = ("anchor", top.key)
         if key not in session.cache:
-            anchor = self.anchors[top.key]
-            session.cache[key] = tuple(
-                session.gamma(anchor) if s is None
-                else self.sub.theta(session, anchor, s))
+            session.cache[key] = tuple(session.gamma(self.anchors[top.key]))
         anchor_val = session.cache[key]
         if cd.t == 1:
             return anchor_val
@@ -384,7 +383,7 @@ class ThetaEngine:
             value = session.gamma(y)
         else:
             face = Simplex.trusted([top.vertices[i] for i in cd.indices])
-            value = self.sub.theta(session, y, s, hint=face)
+            value = self.sub.theta(session, y, s, face)
         return tuple(cd.t * a + (1 - cd.t) * b
                      for a, b in zip(anchor_val, value))
 
@@ -397,8 +396,8 @@ class BoundTheta:
         self.gamma = as_evaluator(gamma)
         self.cache = {}
 
-    def __call__(self, x, t, hint=None):
-        return self.engine.theta(self, tuple(x), to_rat(t), hint=hint)
+    def __call__(self, x, t):
+        return self.engine.theta(self, tuple(x), to_rat(t))
 
     def final_map(self):
         return FuncMap(lambda x: self(x, 1))
@@ -827,12 +826,12 @@ def individual_approximation(complex_, gamma0, spec, relative, model,
         g_map = _make_push_map(gamma0, moved, eps)
         sessions = {}
 
-        def homotopy(x, t, hint=None):
+        def homotopy(x, t):
             t = RAT(t)
             if t not in sessions:
                 sessions[t] = BoundTheta(
                     engine, lambda z, _t=t: g_map(z, _t))
-            return sessions[t](x, t, hint=hint)
+            return sessions[t](x, t)
 
         start_map = FuncMap(lambda z: g_map(z, 1))
         bound_final = BoundTheta(engine, start_map)
@@ -889,18 +888,17 @@ def verify_theta_properties(engine, gamma, plan=None, constant_cells=None):
     samples = []
     for cell in cells:
         for _ in range(plan.points_per_cell):
-            samples.append((cell, combine(cell.vertices,
-                                          _random_weights(rng, cell.rank))))
+            samples.append(combine(cell.vertices,
+                                   _random_weights(rng, cell.rank)))
     t_grid = [RAT(k, plan.t_points) for k in range(plan.t_points + 1)]
 
-    report["a"] = all(session(x, 0, hint=cell) == tuple(gamma(x))
-                      for cell, x in samples)
+    report["a"] = all(session(x, 0) == tuple(gamma(x)) for x in samples)
 
     eta_vals = {}
-    for cell, x in samples:
-        eta_vals[x] = session(x, 1, hint=cell)
+    for x in samples:
+        eta_vals[x] = session(x, 1)
     report["e"] = report["a"] and all(
-        eta_vals[x] == session(x, 1, hint=cell) for cell, x in samples)
+        eta_vals[x] == session(x, 1) for x in samples)
 
     anchor_ok = True
     for x in engine.S:
@@ -916,7 +914,7 @@ def verify_theta_properties(engine, gamma, plan=None, constant_cells=None):
         for _ in range(plan.points_per_cell):
             x = combine(cell.vertices, _random_weights(rng, cell.rank))
             gx = tuple(gamma(x))
-            if any(session(x, t, hint=cell) != gx for t in t_grid):
+            if any(session(x, t) != gx for t in t_grid):
                 frozen_ok = False
     report["relative"] = frozen_ok
 
@@ -926,7 +924,7 @@ def verify_theta_properties(engine, gamma, plan=None, constant_cells=None):
             y = tuple(gamma(cell.vertices[0]))
             for _ in range(plan.points_per_cell):
                 x = combine(cell.vertices, _random_weights(rng, cell.rank))
-                if any(session(x, t, hint=cell) != y for t in t_grid):
+                if any(session(x, t) != y for t in t_grid):
                     const_ok = False
         report["g"] = const_ok
 
@@ -937,9 +935,8 @@ def verify_theta_properties(engine, gamma, plan=None, constant_cells=None):
     twin = _twin_input(engine, gamma)
     if twin is not None:
         twin_session = BoundTheta(engine, twin)
-        report["c"] = all(
-            session(x, 1, hint=cell) == twin_session(x, 1, hint=cell)
-            for cell, x in samples)
+        report["c"] = all(session(x, 1) == twin_session(x, 1)
+                          for x in samples)
     else:
         report["c"] = None
 
@@ -964,7 +961,7 @@ def _twin_input(engine, gamma):
     if target_cell is None:
         return None
 
-    def perturbed(z, hint=None):
+    def perturbed(z):
         z = tuple(z)
         base = tuple(gamma(z))
         if z in s_set:

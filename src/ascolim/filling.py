@@ -39,15 +39,17 @@ class ConeDecomposition:
         return x
 
 
-def cone_decomposition(simplex, x):
+def cone_decomposition(simplex, x, coords=None):
     """Decompose ``x`` in ``simplex`` with maximal barycenter weight.
 
-    ``t`` is ``r * min(s_i)`` over the barycentric coordinates, so at
-    least one residual coefficient vanishes and ``J`` is proper.  Any
-    admissible proper superset of ``J`` yields the same filled value; this
-    canonical choice keeps the decomposition deterministic.
+    ``t`` is ``r * min(s_i)`` over the barycentric coordinates ``coords``
+    of ``x`` (solved for when the caller has none), so at least one
+    residual coefficient vanishes and ``J`` is proper.  Any admissible
+    proper superset of ``J`` yields the same filled value; this canonical
+    choice keeps the decomposition deterministic.
     """
-    coords = simplex.barycentric(x)
+    if coords is None:
+        coords = simplex.barycentric(x)
     if isinstance(coords, Outside):
         raise InputError(f"point {x!r} not in the simplex")
     r = simplex.rank
@@ -109,7 +111,7 @@ class FilledMap:
                     for a, b in zip(self._anchor_value, gy))
         return val, (t, self._anchor_value, y, gy)
 
-    def __call__(self, x, hint=None):
+    def __call__(self, x):
         return self.value_with_certificate(x)[0]
 
 

@@ -186,16 +186,6 @@ class AffineMap:
     def is_translation(self):
         return self.matrix is None
 
-    def inverse_apply(self, y):
-        y = vsub(y, self.offset)
-        if self.matrix is None:
-            return y
-        from ascolim import linalg
-        res = linalg.solve([list(row) for row in self.matrix], list(y))
-        if res is None:
-            raise InputError("affine map not invertible at this point")
-        return tuple(res[0])
-
     @staticmethod
     def identity(dim):
         return AffineMap(offset=(RAT(0),) * dim)

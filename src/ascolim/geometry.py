@@ -220,11 +220,6 @@ def _int_matrix(mat):
 # -- spec-level operations ----------------------------------------------
 
 
-def barycentric_coordinates(simplex, x):
-    """Barycentric coefficients of ``x`` in ``simplex`` or ``Outside``."""
-    return simplex.barycentric(x)
-
-
 def diameter_sq(simplex):
     """Exact squared euclidean diameter (max pairwise vertex distance)."""
     if simplex.rank == 1:

@@ -5,11 +5,13 @@ evaluates by exact point location plus barycentric combination, so
 composition stays exact.  The map has one value at each point, whichever
 simplex carries it, so its values at non-vertex points are memoized.
 ``FuncMap`` wraps an arbitrary callable behind the same evaluation
-interface.
+interface.  An evaluator takes one point and nothing else: where a
+caller already knows the carrying simplex and its coordinates,
+``eval_located`` takes those.
 """
 
 from ascolim.errors import InputError
-from ascolim.geometry import Outside, as_point, combine
+from ascolim.geometry import as_point, combine
 from ascolim.simplicial import SimplicialComplex, SubdividedComplex
 
 
@@ -35,7 +37,7 @@ class PLMap:
         vals = [self.values[v] for v in simplex.vertices]
         return combine(vals, coords)
 
-    def __call__(self, x, hint=None):
+    def __call__(self, x):
         key = tuple(x)
         value = self.values.get(key)
         if value is not None:
@@ -43,16 +45,10 @@ class PLMap:
         value = self._memo.get(key)
         if value is not None:
             return value
-        if hint is not None:
-            coords = hint.barycentric(key)
-            if not isinstance(coords, Outside):
-                value = self.eval_located(hint, coords)
-        if value is None:
-            hit = self.domain.locate(key)
-            if hit is None:
-                raise InputError(f"point {x!r} outside the PL domain")
-            value = self.eval_located(*hit)
-        self._memo[key] = value
+        hit = self.domain.locate(key)
+        if hit is None:
+            raise InputError(f"point {x!r} outside the PL domain")
+        value = self._memo[key] = self.eval_located(*hit)
         return value
 
 
@@ -65,7 +61,7 @@ class FuncMap:
     def eval_located(self, simplex, coords):
         return self.fn(combine(simplex.vertices, coords))
 
-    def __call__(self, x, hint=None):
+    def __call__(self, x):
         return self.fn(tuple(x))
 
 

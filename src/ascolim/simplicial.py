@@ -2,9 +2,10 @@
 
 A complex is a face-closed set of simplices in a common ambient space whose
 pairwise intersections are common faces.  The module provides barycentric
-subdivision (with the diameter-contraction guarantee and parent tracking
-for fast point location), diameter-driven iterated subdivision, staircase
-triangulation of prisms ``|Σ| x [0,1]``, and carriers of subcomplexes.
+subdivision (with the diameter-contraction guarantee, and the pieces of
+each simplex for point location by descent), diameter-driven iterated
+subdivision, staircase triangulation of prisms ``|Σ| x [0,1]``, and
+carriers of subcomplexes.
 """
 
 import math
@@ -94,16 +95,9 @@ class SimplicialComplex:
         The first hit in ``tops()`` order; answers are memoized.
         """
         x = tuple(x)
-        if x in self._located:
-            return self._located[x]
-        hit = None
-        for top in self.tops():
-            coords = top.barycentric(x)
-            if not isinstance(coords, Outside):
-                hit = (top, coords)
-                break
-        self._located[x] = hit
-        return hit
+        if x not in self._located:
+            self._located[x] = _first_holding(self.tops(), x)
+        return self._located[x]
 
     def skeleton(self, max_rank):
         """Subcomplex of all simplices of rank at most ``max_rank``."""
@@ -133,6 +127,15 @@ class SimplicialComplex:
 
 def _top_order(simplex):
     return sorted(simplex.vertices)
+
+
+def _first_holding(cells, x):
+    """The first of ``cells`` holding ``x`` with its coordinates, or None."""
+    for cell in cells:
+        coords = cell.barycentric(x)
+        if not isinstance(coords, Outside):
+            return cell, coords
+    return None
 
 
 def _intersection_vertices(s1, s2):
@@ -181,7 +184,8 @@ def _intersection_is_common_face(s1, s2):
 
 
 def _chains(complex_):
-    """All chains in the face poset, as lists ordered by inclusion."""
+    """All chains in the face poset, as lists ordered by inclusion,
+    grouped by the key of their largest element."""
     order = sorted(complex_.simplices, key=lambda s: s.rank)
     ending = {}
     for s in order:
@@ -192,38 +196,34 @@ def _chains(complex_):
             if t.key < s.key:
                 chains.extend(ch + [s] for ch in ending[t.key])
         ending[s.key] = chains
-    out = []
-    for chains in ending.values():
-        out.extend(chains)
-    return out
+    return ending
 
 
 def bsd_with_parents(complex_, centers=None):
-    """Barycentric subdivision plus the parent map.
+    """Barycentric subdivision plus the pieces of each input simplex.
 
-    Returns ``(subdivided, parents)`` where ``parents`` maps the key of
-    each new simplex to the member of the input complex whose relative
-    interior carries it (the largest element of its barycenter chain).
-
-    The tops of the subdivision are its maximal chains: those that start
-    at a vertex, go up one rank at a time and end at a top of the input
-    (which is face-closed), so they are known without a cover scan.
+    Returns ``(subdivided, pieces)`` where ``pieces`` maps the key of each
+    input simplex to the cells of its own rank that subdivide it: its
+    maximal chains, which start at a vertex and go up one rank at a time.
+    The tops of the subdivision are the pieces of the input's tops, so
+    they are known without a cover scan.
     """
-    parents = {}
+    pieces = {}
     cells = []
-    tops = []
-    top_keys = {t.key for t in complex_.tops()}
     if centers is None:
         centers = {s.key: s.barycenter() for s in complex_.simplices}
-    for chain in _chains(complex_):
-        cell = Simplex.trusted([centers[f.key] for f in chain])
-        cells.append(cell)
-        parents[cell.key] = chain[-1]
-        if len(chain) == chain[-1].rank and chain[-1].key in top_keys:
-            tops.append(cell)
+    for key, chains in _chains(complex_).items():
+        own = []
+        for chain in chains:
+            cell = Simplex.trusted([centers[f.key] for f in chain])
+            cells.append(cell)
+            if len(chain) == chain[-1].rank:
+                own.append(cell)
+        pieces[key] = tuple(own)
     sub = SimplicialComplex(cells, close=False)
-    sub._tops = sorted(tops, key=_top_order)
-    return sub, parents
+    sub._tops = sorted((cell for top in complex_.tops()
+                        for cell in pieces[top.key]), key=_top_order)
+    return sub, pieces
 
 
 def barycentric_subdivide(complex_):
@@ -252,42 +252,28 @@ def _subdivision_cap(rank, d0, delta_sq):
 def subdivide_until(complex_, delta):
     """Iterate ``bsd`` until every simplex has diameter below ``delta``.
 
-    Returns ``(m, subdivided)`` with ``m`` the first iterate that works.
-    The loop is capped by the a-priori bound from the per-step
-    ``(r-1)/r`` diameter contraction.
+    Returns ``(m, subdivided)`` with ``m`` the first iterate that works
+    (``subdivided is complex_`` when ``m == 0``); see
+    ``SubdividedComplex.refine_until``.
     """
-    if delta <= 0:
-        raise InputError("delta must be positive")
-    delta_sq = delta * delta
-    r = complex_.rank
-    current = complex_
-    if r == 1:
-        return 0, current
-    cap = _subdivision_cap(r, max_diameter_sq(current), delta_sq)
-    m = 0
-    while max_diameter_sq(current) >= delta_sq:
-        if m >= cap:
-            raise ResolutionExceededError(
-                f"subdivision bound {cap} reached without diameter < {delta}")
-        current = barycentric_subdivide(current)
-        m += 1
-    return m, current
+    tree = SubdividedComplex(complex_)
+    return tree.refine_until(delta), tree.final
 
 
 class SubdividedComplex:
     """A complex with its iterated-subdivision history.
 
-    Keeps every level, the parent map per level for hierarchical point
-    location and root tracking, and per vertex its "origin": the vertex
-    set of the minimal base simplex whose relative interior carries it.
-    A vertex lies in a base simplex exactly when its origin is a subset
-    of the simplex's vertex set, which turns carrier and constraint
-    queries into set arithmetic.
+    Keeps every level, the pieces of each simplex per level for point
+    location by descent, and per vertex its "origin": the vertex set of
+    the minimal base simplex whose relative interior carries it.  A vertex
+    lies in a base simplex exactly when its origin is a subset of the
+    simplex's vertex set, which turns carrier and constraint queries into
+    set arithmetic.
     """
 
     def __init__(self, base):
         self.levels = [base]
-        self.parents = []  # parents[i]: keys of level i+1 -> simplex of level i
+        self.pieces = []  # pieces[i]: simplex key of level i -> its pieces
         self.origins = {tuple(v): frozenset([tuple(v)])
                         for v in base.vertices()}
 
@@ -306,18 +292,16 @@ class SubdividedComplex:
     def refine(self, steps=1):
         for _ in range(steps):
             current = self.levels[-1]
-            centers = {s.key: (s.barycenter(), s)
-                       for s in current.simplices}
-            for center, src in centers.values():
+            centers = {}
+            for s in current.simplices:
+                center = s.barycenter()
+                centers[s.key] = center
                 if center not in self.origins:
-                    origin = frozenset()
-                    for v in src.vertices:
-                        origin |= self.origins[tuple(v)]
-                    self.origins[center] = origin
-            nxt, par = bsd_with_parents(current, centers={
-                k: c for k, (c, _) in centers.items()})
+                    self.origins[center] = frozenset().union(
+                        *(self.origins[v] for v in s.vertices))
+            nxt, pieces = bsd_with_parents(current, centers)
             self.levels.append(nxt)
-            self.parents.append(par)
+            self.pieces.append(pieces)
         return self
 
     def vertex_in_base_simplex(self, vertex, base_simplex):
@@ -325,6 +309,11 @@ class SubdividedComplex:
         return self.origins[tuple(vertex)] <= base_simplex.key
 
     def refine_until(self, delta):
+        """Refine until every simplex has diameter below ``delta``.
+
+        Returns the number of steps taken.  The loop is capped by the
+        a-priori bound from the per-step ``(r-1)/r`` diameter contraction.
+        """
         if delta <= 0:
             raise InputError("delta must be positive")
         delta_sq = delta * delta
@@ -335,43 +324,37 @@ class SubdividedComplex:
         m = 0
         while max_diameter_sq(self.final) >= delta_sq:
             if m >= cap:
-                raise ResolutionExceededError("subdivision cap reached")
+                raise ResolutionExceededError(
+                    f"subdivision bound {cap} reached without "
+                    f"diameter < {delta}")
             self.refine()
             m += 1
         return m
 
     def root(self, simplex):
-        """Minimal base-complex simplex carrying ``simplex``."""
-        current = simplex
-        for par in reversed(self.parents):
-            current = par[current.key]
-        return current
+        """Minimal base simplex carrying ``simplex``: the one spanned by
+        the union of its vertices' origin sets."""
+        return self.base._by_key[frozenset().union(
+            *(self.origins[v] for v in simplex.vertices))]
 
     def locate_final(self, x, base_hint=None):
-        """Find a final top simplex containing ``x`` by level descent."""
-        if base_hint is not None:
-            coords = base_hint.barycentric(x)
-            top = base_hint if not isinstance(coords, Outside) else None
-        else:
-            top = None
-        if top is None:
+        """A final cell holding ``x`` with its coordinates, or None.
+
+        Starts at ``base_hint`` when it holds ``x`` (any base simplex, top
+        or lower face), else at the base top ``base.locate`` finds, and
+        descends through the pieces of the current cell only; the pieces
+        of a cell cover it, so every level has a hit.  The cell has the
+        rank of the base simplex it started at.
+        """
+        x = tuple(x)
+        hit = None if base_hint is None else _first_holding([base_hint], x)
+        if hit is None:
             hit = self.base.locate(x)
             if hit is None:
                 return None
-            top = hit[0]
-        for level, par in zip(self.levels[1:], self.parents):
-            nxt = None
-            for cell in level.tops():
-                if par[cell.key].key <= top.key and cell.contains(x):
-                    nxt = cell
-                    break
-            if nxt is None:  # numerical impossibility on the exact lane
-                hit = level.locate(x)
-                if hit is None:
-                    return None
-                nxt = hit[0]
-            top = nxt
-        return top
+        for pieces in self.pieces:
+            hit = _first_holding(pieces[hit[0].key], x)
+        return hit
 
 
 # -- carriers --------------------------------------------------------------

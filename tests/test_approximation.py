@@ -89,7 +89,7 @@ def test_constant_map_stays_constant_through_all_branches():
                 w[0] = F(1)
             x = combine(cell.vertices, [wi / sum(w) for wi in w])
             for t in (0, F(1, 4), F(1, 2), F(3, 4), 1):
-                assert session(x, t, hint=cell) == y
+                assert session(x, t) == y
 
 
 def test_square_loop_engine_properties():
@@ -139,7 +139,7 @@ def test_half_time_slice_is_the_filled_map_on_each_top():
             for _ in range(2):
                 w = [F(rng.randint(1, 5)) for _ in range(cell.rank)]
                 x = combine(cell.vertices, [wi / sum(w) for wi in w])
-                assert session(x, F(1, 2), hint=cell) == filled(x)
+                assert session(x, F(1, 2)) == filled(x)
 
 
 def test_individual_approximation_freezes_and_projects():

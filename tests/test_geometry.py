@@ -12,9 +12,8 @@ import pytest
 
 from ascolim.errors import InputError
 from ascolim.filtered_spaces import CompactSample
-from ascolim.geometry import (Outside, Simplex, as_point,
-                              barycentric_coordinates, combine, diameter,
-                              diameter_sq, sqdist)
+from ascolim.geometry import (Outside, Simplex, as_point, combine,
+                              diameter, diameter_sq, sqdist)
 from ascolim.plmaps import PLMap
 from ascolim.rats import RAT, to_rat
 from ascolim.regions import HalfSpace, OpenBall
@@ -25,20 +24,20 @@ F = Fraction
 
 def test_vertex_case():
     tri = Simplex([(0, 0), (1, 0), (0, 1)])
-    assert barycentric_coordinates(tri, (1, 0)) == (0, 1, 0)
+    assert tri.barycentric((1, 0)) == (0, 1, 0)
 
 
 def test_barycenter_symmetry():
     tri = Simplex([(0, 0), (1, 0), (0, 1)])
     b = (F(1, 3), F(1, 3))
-    assert barycentric_coordinates(tri, b) == (F(1, 3), F(1, 3), F(1, 3))
+    assert tri.barycentric(b) == (F(1, 3), F(1, 3), F(1, 3))
 
 
 def test_outside_reports_violating_coefficient():
     # hand-solved 1-D affine system: s1*0 + s2*2 = 3, s1 + s2 = 1
     # => s2 = 3/2, s1 = -1/2
     seg = Simplex([(0, 0), (2, 0)])
-    out = barycentric_coordinates(seg, (3, 0))
+    out = seg.barycentric((3, 0))
     assert isinstance(out, Outside)
     assert out.reason == "negative_coefficient"
     assert out.index == 0 and out.value == F(-1, 2)
@@ -46,7 +45,7 @@ def test_outside_reports_violating_coefficient():
 
 def test_off_affine_hull():
     seg = Simplex([(0, 0), (2, 0)])
-    out = barycentric_coordinates(seg, (1, 1))
+    out = seg.barycentric((1, 1))
     assert isinstance(out, Outside)
     assert out.reason == "off_affine_hull"
 
@@ -54,7 +53,7 @@ def test_off_affine_hull():
 def test_dimension_mismatch_is_input_error():
     seg = Simplex([(0, 0), (2, 0)])
     with pytest.raises(InputError):
-        barycentric_coordinates(seg, (1, 0, 0))
+        seg.barycentric((1, 0, 0))
 
 
 def test_degenerate_vertices_rejected():
@@ -110,7 +109,7 @@ def test_reconstruction_property_1000_random_combinations():
             total = F(1)
         coeffs = [w / total for w in weights]
         x = combine(sx.vertices, coeffs)
-        got = barycentric_coordinates(sx, x)
+        got = sx.barycentric(x)
         assert not isinstance(got, Outside)
         assert combine(sx.vertices, got) == x
         assert sum(got) == 1

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ascolim import linalg
-from ascolim.approximation import EngineConfig
+from ascolim.approximation import EngineConfig, ThetaEngine
 from ascolim.errors import ChartCoverError, InputError
 from ascolim.filtered_spaces import (AffineMap, FilteredSpaceModel,
                                      Filtration)
@@ -123,34 +123,36 @@ def _count_calls(monkeypatch, calls, owner, name):
     """Wrap ``owner.name`` so that each call adds one to ``calls[name]``."""
     original = getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[name] += 1
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
 
 
 def test_surjectivity_leg_exact_solve_count(monkeypatch):
     # machine-independent budget on the README's square model with default
-    # settings: memoized point location needs 2029 exact barycentric
-    # solves (11452 when every query rescans the complex), and memoized PL
-    # values 1260 complex locates (1560 without); the engine computes in
-    # model coordinates, with no affine chart map applied (1248 when every
-    # value went through an identity chart and back)
+    # settings: the engine reuses the coordinates point location found, so
+    # it needs 157 exact barycentric solves (2029 when it solved again for
+    # the branch and the cone decomposition); memoized PL values need 1260
+    # complex locates (1560 without); one gamma value per top serves every
+    # slice's anchor, so the engine is evaluated 1560 times (1860 with one
+    # anchor evaluation per slice); values are computed in model
+    # coordinates, with no affine chart map applied
     model = plane_model(8, [(2, {0, 1}), (4, {0, 1, 2, 3})])
     probe = unit_square_loop(dim=8, reps=3)
-    calls = {"barycentric": 0, "locate": 0, "__call__": 0,
-             "inverse_apply": 0}
+    calls = {"barycentric": 0, "locate": 0, "theta": 0, "__call__": 0}
     _count_calls(monkeypatch, calls, Simplex, "barycentric")
     _count_calls(monkeypatch, calls, SimplicialComplex, "locate")
+    _count_calls(monkeypatch, calls, ThetaEngine, "theta")
     _count_calls(monkeypatch, calls, AffineMap, "__call__")
-    _count_calls(monkeypatch, calls, AffineMap, "inverse_apply")
     leg = surjectivity_leg(model, probe)
     assert leg["winding_before"] == leg["winding_after"] == 3
     assert leg["beta"] == 2 and leg["grid_ok"]
-    assert 0 < calls["barycentric"] <= 2100
+    assert 0 < calls["barycentric"] <= 200
     assert 0 < calls["locate"] <= 1300
-    assert calls["__call__"] == calls["inverse_apply"] == 0
+    assert 0 < calls["theta"] <= 1600
+    assert calls["__call__"] == 0
 
 
 def test_chart_cover_error_names_level_pass_and_cell():

@@ -1,4 +1,4 @@
-"""PL maps: exact evaluation, hints and the memo of point values."""
+"""PL maps: exact evaluation, shared faces and the memo of point values."""
 
 import random
 from fractions import Fraction
@@ -33,19 +33,22 @@ def _face_points(rng, cx, count):
     return out
 
 
-def test_value_independent_of_hint_on_shared_faces():
+def test_value_on_shared_faces_is_the_face_combination():
     rng = random.Random(37)
     cx = barycentric_subdivide(SimplicialComplex(
         [Simplex([(0, 0), (2, 0), (0, 2)]), Simplex([(2, 0), (0, 2), (2, 2)])]))
     values = _random_map(rng, cx)
+    memoized = PLMap(cx, values)
     shared = 0
     for x, w, verts in _face_points(rng, cx, 120):
         want = tuple(sum(wi * values[v][d] for wi, v in zip(w, verts))
                      for d in range(3))
         carriers = [t for t in cx.tops() if t.contains(x)]
         shared += len(carriers) > 1
-        memoized = PLMap(cx, values)
-        for hint in [None] + carriers:
-            assert memoized(x, hint=hint) == want
-            assert PLMap(cx, values)(x, hint=hint) == want
+        # every top through the face gives the same value
+        for top in carriers:
+            assert memoized.eval_located(top, top.barycentric(x)) == want
+        assert memoized(x) == want
+        assert memoized(x) == want  # read back from the memo
+        assert PLMap(cx, values)(x) == want
     assert shared > 20

@@ -1,5 +1,6 @@
 """Complexes, subdivision, prisms and carriers."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -69,13 +70,20 @@ def test_bsd_preserves_rank():
     assert barycentric_subdivide(cx).rank == cx.rank
 
 
-def test_bsd_parents_cover_every_cell():
-    cx = SimplicialComplex([UNIT_TRIANGLE])
-    sub, parents = bsd_with_parents(cx)
-    for s in sub.simplices:
-        parent = parents[s.key]
-        assert parent in cx
-        assert all(parent.contains(v) for v in s.vertices)
+def test_bsd_pieces_subdivide_every_simplex():
+    cx = SimplicialComplex([Simplex([(0, 0), (2, 0), (0, 2)]),
+                            Simplex([(2, 0), (0, 2), (2, 2)]),
+                            Simplex([(2, 2), (3, 3)])])
+    sub, pieces = bsd_with_parents(cx)
+    assert set(pieces) == {s.key for s in cx.simplices}
+    for s in cx.simplices:
+        assert len(pieces[s.key]) == math.factorial(s.rank)
+        for piece in pieces[s.key]:
+            assert piece in sub and piece.rank == s.rank
+            assert all(s.contains(v) for v in piece.vertices)
+        assert sum(relative_volumes(s, pieces[s.key])) == 1
+    from_tops = [p for t in cx.tops() for p in pieces[t.key]]
+    assert sorted(from_tops, key=lambda p: sorted(p.vertices)) == sub.tops()
 
 
 def test_subdivide_until_interval():
@@ -339,11 +347,47 @@ def test_subdivided_complex_roots_and_location():
     tree.refine(2)
     assert tree.depth == 2
     x = (F(1, 7), F(2, 7))
-    cell = tree.locate_final(x)
-    assert cell is not None and cell.contains(x)
+    cell, coords = tree.locate_final(x)
+    assert cell.contains(x) and coords == cell.barycentric(x)
     root = tree.root(cell)
     assert root in cx
     assert all(root.contains(v) for v in cell.vertices)
+
+
+def test_locate_final_descends_through_pieces(monkeypatch):
+    base = SimplicialComplex([Simplex([(0, 0), (2, 0), (0, 2)]),
+                              Simplex([(2, 0), (0, 2), (2, 2)])])
+    tree = SubdividedComplex(base).refine(3)
+    scanned = []
+    tops = SimplicialComplex.tops
+
+    def recorded(self):
+        scanned.append(self)
+        return tops(self)
+
+    monkeypatch.setattr(SimplicialComplex, "tops", recorded)
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(60):
+        cell = base.tops()[rng.randrange(2)]
+        w = [F(rng.randint(1, 6)) for _ in range(3)]
+        for i in rng.sample(range(3), rng.randrange(3)):
+            w[i] = F(0)  # on an edge, or a vertex when two vanish
+        x = tuple(sum(wi * v[d] for wi, v in zip(w, cell.vertices)) / sum(w)
+                  for d in range(2))
+        holders = [s for s in base.simplices if s.contains(x)]
+        kinds.add(min(s.rank for s in holders))
+        for hint in [None] + holders:
+            got, coords = tree.locate_final(x, hint)
+            assert got.contains(x) and coords == got.barycentric(x)
+            start = hint or base.locate(x)[0]
+            assert got.rank == start.rank
+            assert all(start.contains(v) for v in got.vertices)
+            assert got in tree.final
+    assert kinds == {1, 2, 3}
+    assert tree.locate_final((F(3), F(3))) is None
+    # only the base is scanned; finer levels are entered through pieces
+    assert scanned and all(level is base for level in scanned)
 
 
 def _seeded_points(rng, cx, count):
