@@ -264,16 +264,22 @@ class ChartProvider:
 
 
 def _flatten_region(region):
-    """Split into (convex parts, plane complements); None if impossible."""
+    """Split into (convex parts, plane complements); None if impossible.
+    Keeps first occurrences: one plane complement per removed plane, and
+    no node twice (``taken`` holds each node, so no id in it is reused)."""
     convex = []
-    planes = []
+    planes = {}
+    taken = {}
     stack = [region]
     while stack:
         node = stack.pop()
+        if id(node) in taken:
+            continue
+        taken[id(node)] = node
         if isinstance(node, Intersection):
             stack.extend(node.parts)
         elif isinstance(node, CoordinatePlaneComplement):
-            planes.append(node)
+            planes.setdefault((node.i, node.j), node)
         elif isinstance(node, Translate):
             pushed = node.region.translate(node.shift)
             if isinstance(pushed, Translate):
@@ -285,7 +291,7 @@ def _flatten_region(region):
             convex.append(node)
         else:
             return None
-    return convex, planes
+    return convex, list(planes.values())
 
 
 def _separating_halfspace(plane_complement, q):
@@ -327,26 +333,27 @@ class ThetaEngine:
         return SubdividedComplex(self.tree.final).refine(
             self.config.bake_level).final
 
-    def theta(self, session, x, t, face=None):
+    def theta(self, session, x, t, start=None):
         """Evaluate the homotopy at ``(x, t)`` for the bound map.
 
-        ``face`` is a base simplex holding ``x`` (the exit face or the
-        skeleton face an outer engine found), where point location starts.
-        """
+        ``start`` is a base simplex holding ``x`` and the coordinates of
+        ``x`` in it, as an outer engine found them: a lower-rank final top,
+        the positive-coordinate face of a top, or a cone exit face."""
         gamma = session.gamma
         if self.rank == 1:
             return tuple(gamma(x))
-        hit = self.tree.locate_final(x, face)
+        hit = self.tree.locate_final(x, start)
         if hit is None:
             raise InputError(f"point {x!r} outside the engine domain")
         top, coords = hit
         if top.rank < self.rank:
-            return self._skeleton_value(session, x, t, top)
+            return self._skeleton_value(session, x, t, hit)
         if any(c == 0 for c in coords):
             # on the skeleton: both branch definitions agree there
             face = Simplex.trusted(
                 [v for v, c in zip(top.vertices, coords) if c > 0])
-            return self._skeleton_value(session, x, t, face)
+            start = (face, tuple(c for c in coords if c > 0))
+            return self._skeleton_value(session, x, t, start)
         if top.key in self.frozen_keys:
             return tuple(gamma(x))
         if 2 * t <= 1:
@@ -356,10 +363,10 @@ class ThetaEngine:
                          for a, b in zip(gamma(x), fill_val))
         return self._fill(session, top, x, coords, 2 * t - 1)
 
-    def _skeleton_value(self, session, x, t, face):
+    def _skeleton_value(self, session, x, t, start):
         if 2 * t <= 1:
             return tuple(session.gamma(x))
-        return self.sub.theta(session, x, 2 * t - 1, face)
+        return self.sub.theta(session, x, 2 * t - 1, start)
 
     def _fill(self, session, top, x, coords, s):
         """Filled boundary extension over ``top`` at ``x``, whose
@@ -368,8 +375,8 @@ class ThetaEngine:
 
         The anchor is a vertex of every finer complex, where every slice
         keeps ``gamma``'s value (property (h)), so one ``gamma(anchor)``
-        per top serves both.  Only the sub-engine gets the exit face, since
-        ``gamma`` is defined on the base complex.
+        per top serves both.  Only the sub-engine gets the exit face and
+        weights, since ``gamma`` is defined on the base complex.
         """
         cd = cone_decomposition(top, x, coords)
         key = ("anchor", top.key)
@@ -383,7 +390,7 @@ class ThetaEngine:
             value = session.gamma(y)
         else:
             face = Simplex.trusted([top.vertices[i] for i in cd.indices])
-            value = self.sub.theta(session, y, s, face)
+            value = self.sub.theta(session, y, s, (face, cd.exit_weights()))
         return tuple(cd.t * a + (1 - cd.t) * b
                      for a, b in zip(anchor_val, value))
 
@@ -432,21 +439,30 @@ def _certify_grid(engine, homotopy, n, seed):
 # -- engine construction ------------------------------------------------------
 
 
-def _cell_regions_for(tree, spec, ambient_dim):
-    base = tree.base
-    fast = [isinstance(con.subset, Simplex) and con.subset in base
-            for con in spec]
+def _constraints_by_face(base, spec):
+    """``(by_face, scanned)``: each face key of a constraint subset that is
+    a simplex of ``base`` -> those constraints' indices; the other ones."""
+    by_face = {}
+    scanned = []
+    for i, con in enumerate(spec):
+        if isinstance(con.subset, Simplex) and con.subset in base:
+            for face in [con.subset] + con.subset.faces():
+                by_face.setdefault(face.key, []).append(i)
+        else:
+            scanned.append(i)
+    return by_face, scanned
+
+
+def _cell_regions_for(tree, spec, index, ambient_dim):
+    """Per final top, the regions of the constraints it meets in spec
+    order; the origin sets of its vertices look up the indexed ones."""
+    by_face, scanned = index
     out = {}
     for cell in tree.final.tops():
-        regs = []
-        for con, use_fast in zip(spec, fast):
-            if use_fast:
-                # origin sets turn the touch test into set arithmetic
-                if any(tree.vertex_in_base_simplex(v, con.subset)
-                       for v in cell.vertices):
-                    regs.append(con.region)
-            elif con.meets_simplex(cell):
-                regs.append(con.region)
+        hits = {i for i in scanned if spec.constraints[i].meets_simplex(cell)}
+        for origin in {tree.origins[v] for v in cell.vertices}:
+            hits.update(by_face.get(origin, ()))
+        regs = [spec.constraints[i].region for i in sorted(hits)]
         if not regs:
             out[cell.key] = FullSpace(ambient_dim)
         else:
@@ -496,6 +512,8 @@ def _charts_fit(tree, gamma0, cell_regions, provider):
                 dist = sqdist(center, bary_img)
                 if best is None or dist < best[0]:
                     best = (dist, core)
+                if dist == 0:
+                    break  # no later candidate is strictly closer
         if best is None:
             return None, cell
         charts[cell.key] = best[1]
@@ -506,11 +524,11 @@ def _point_text(p):
     return "(" + ", ".join(str(c) for c in p) + ")"
 
 
-def build_engine(tree, gamma0, spec, frozen_pred, model, config, rng=None):
+def build_engine(tree, gamma0, spec, frozen, model, config, rng=None):
     """Recursive engine construction.
 
-    ``frozen_pred(tree, cell)`` decides membership of a cell in the frozen
-    carrier through its root in the original complex.  The refinement
+    ``frozen`` holds the keys of the base simplices inside the frozen
+    carrier; a top is frozen when its root is one of them.  The refinement
     level is the least one passing both the constraint-normalization and
     the chart-fit pass, mirroring the Lebesgue-number step at the
     certified level.  When no level up to ``max_subdivision`` passes,
@@ -526,11 +544,12 @@ def build_engine(tree, gamma0, spec, frozen_pred, model, config, rng=None):
             anchor_points=sorted(tree.final.vertices()),
             p_spec=spec, model=model, config=config)
 
+    index = _constraints_by_face(tree.base, spec)
     provider = ChartProvider(model)
     for level in range(config.max_subdivision + 1):
         if level:
             tree.refine()
-        cell_regions = _cell_regions_for(tree, spec, model.ambient_dim)
+        cell_regions = _cell_regions_for(tree, spec, index, model.ambient_dim)
         failed = "constraint"
         bad = _first_violation(tree, gamma0, cell_regions, rng,
                                config.probe_per_cell)
@@ -552,7 +571,7 @@ def build_engine(tree, gamma0, spec, frozen_pred, model, config, rng=None):
     tops = final.tops()
     frozen_keys = frozenset(cell.key for cell in tops
                             if cell.rank == rank
-                            and frozen_pred(tree, cell))
+                            and tree.root(cell).key in frozen)
 
     # per skeleton simplex, intersect the inner cores of containing tops
     skeleton = final.skeleton(rank - 1)
@@ -570,14 +589,10 @@ def build_engine(tree, gamma0, spec, frozen_pred, model, config, rng=None):
         region = cores[0] if len(cores) == 1 else Intersection(cores)
         z_constraints.append(Constraint(subset=sx, region=region))
     sub_spec = NeighborhoodSpec(z_constraints)
-    sub_tree = SubdividedComplex(skeleton)
-
-    def sub_frozen(sub_tree_, cell):
-        mid = sub_tree_.root(cell)      # a simplex of the skeleton
-        return frozen_pred(tree, mid)   # roots chain to the original
-
-    sub_engine = build_engine(sub_tree, gamma0, sub_spec, sub_frozen,
-                              model, config, rng)
+    skeleton_frozen = {sx.key for sx in skeleton.simplices
+                       if tree.root(sx).key in frozen}
+    sub_engine = build_engine(SubdividedComplex(skeleton), gamma0, sub_spec,
+                              skeleton_frozen, model, config, rng)
 
     anchors = {T.key: min(T.vertices) for T in tops if T.rank == rank}
 
@@ -610,14 +625,9 @@ def simultaneous_approximation(complex_, gamma0, spec, relative, model,
         raise InputError(
             f"base map violates the neighbourhood spec: {details}")
 
-    def frozen_pred(tree_, cell):
-        if relative is None or relative.is_empty():
-            return False
-        root = tree_.root(cell)
-        return relative.contains_simplex(root)
-
-    engine = build_engine(tree, gamma0, spec, frozen_pred, model, config,
-                          rng)
+    frozen = set() if relative is None else {
+        s.key for s in complex_.simplices if relative.contains_simplex(s)}
+    engine = build_engine(tree, gamma0, spec, frozen, model, config, rng)
     return engine.S, engine.P, engine
 
 

@@ -24,13 +24,16 @@ class ConeDecomposition:
     indices: tuple          # J, a proper subset of vertex positions
     coefficients: tuple     # t_j aligned with ``indices``
 
-    def boundary_point(self, simplex):
-        """The boundary point the cone ray exits through (``t < 1`` only)."""
+    def exit_weights(self):
+        """Coordinates ``t_j / (1 - t)`` of the exit point in face ``J``."""
         if self.t == 1:
             raise InputError("pure cone tip has no boundary point")
-        scale = 1 / (1 - self.t)
+        return tuple(c / (1 - self.t) for c in self.coefficients)
+
+    def boundary_point(self, simplex):
+        """The boundary point the cone ray exits through (``t < 1`` only)."""
         pts = [simplex.vertices[i] for i in self.indices]
-        return combine(pts, [c * scale for c in self.coefficients])
+        return combine(pts, self.exit_weights())
 
     def reconstruct(self, simplex):
         x = vscale(self.t, simplex.barycenter())

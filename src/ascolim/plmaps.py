@@ -5,9 +5,7 @@ evaluates by exact point location plus barycentric combination, so
 composition stays exact.  The map has one value at each point, whichever
 simplex carries it, so its values at non-vertex points are memoized.
 ``FuncMap`` wraps an arbitrary callable behind the same evaluation
-interface.  An evaluator takes one point and nothing else: where a
-caller already knows the carrying simplex and its coordinates,
-``eval_located`` takes those.
+interface: an evaluator takes one point and nothing else.
 """
 
 from ascolim.errors import InputError
@@ -57,9 +55,6 @@ class FuncMap:
 
     def __init__(self, fn):
         self.fn = fn
-
-    def eval_located(self, simplex, coords):
-        return self.fn(combine(simplex.vertices, coords))
 
     def __call__(self, x):
         return self.fn(tuple(x))

@@ -266,9 +266,8 @@ class SubdividedComplex:
     Keeps every level, the pieces of each simplex per level for point
     location by descent, and per vertex its "origin": the vertex set of
     the minimal base simplex whose relative interior carries it.  A vertex
-    lies in a base simplex exactly when its origin is a subset of the
-    simplex's vertex set, which turns carrier and constraint queries into
-    set arithmetic.
+    lies in a base simplex exactly when its origin is the key of a face of
+    it, so constraint and root queries become lookups of origin sets.
     """
 
     def __init__(self, base):
@@ -304,10 +303,6 @@ class SubdividedComplex:
             self.pieces.append(pieces)
         return self
 
-    def vertex_in_base_simplex(self, vertex, base_simplex):
-        """Exact ``vertex in base_simplex`` by origin set arithmetic."""
-        return self.origins[tuple(vertex)] <= base_simplex.key
-
     def refine_until(self, delta):
         """Refine until every simplex has diameter below ``delta``.
 
@@ -337,21 +332,18 @@ class SubdividedComplex:
         return self.base._by_key[frozenset().union(
             *(self.origins[v] for v in simplex.vertices))]
 
-    def locate_final(self, x, base_hint=None):
+    def locate_final(self, x, start=None):
         """A final cell holding ``x`` with its coordinates, or None.
 
-        Starts at ``base_hint`` when it holds ``x`` (any base simplex, top
-        or lower face), else at the base top ``base.locate`` finds, and
-        descends through the pieces of the current cell only; the pieces
-        of a cell cover it, so every level has a hit.  The cell has the
-        rank of the base simplex it started at.
+        Starts at ``start``, a base simplex holding ``x`` and the
+        coordinates of ``x`` in it, taken as given, else at the base top
+        ``base.locate`` finds.  It descends through the pieces of one cell
+        per level, which cover it, to a final cell of the start's rank.
         """
         x = tuple(x)
-        hit = None if base_hint is None else _first_holding([base_hint], x)
+        hit = self.base.locate(x) if start is None else start
         if hit is None:
-            hit = self.base.locate(x)
-            if hit is None:
-                return None
+            return None
         for pieces in self.pieces:
             hit = _first_holding(pieces[hit[0].key], x)
         return hit

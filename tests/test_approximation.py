@@ -7,6 +7,8 @@ import pytest
 
 from ascolim.approximation import (BoundTheta, Constraint, EngineConfig,
                                    NeighborhoodSpec, SamplingPlan,
+                                   _cell_regions_for, _constraints_by_face,
+                                   _flatten_region,
                                    individual_approximation,
                                    simultaneous_approximation,
                                    verify_theta_properties)
@@ -17,7 +19,7 @@ from ascolim.filtered_spaces import (CompactSample, FilteredSpaceModel,
 from ascolim.geometry import Simplex, combine
 from ascolim.plmaps import PLMap
 from ascolim.regions import (CoordinatePlaneComplement, FullSpace,
-                             HalfSpace, OpenBall)
+                             HalfSpace, Intersection, OpenBall)
 from ascolim.simplicial import (SimplicialComplex, SubcomplexCarrier,
                                 SubdividedComplex)
 
@@ -337,3 +339,46 @@ def test_property_check_reuses_the_grid_complex(monkeypatch):
     assert calls == []
     assert report["b"] is True
     assert record.engine.grid_complex is record.eta_baked.domain
+
+
+def test_cell_regions_through_origin_faces_keep_spec_order():
+    # every kind of constraint subset, with "all" not first and more
+    # constraints than a small set has slots: the regions found through
+    # the vertices' origin sets are the very regions a scan of every
+    # constraint finds, in spec order
+    base = SimplicialComplex([Simplex([(0, 0), (2, 0), (0, 2)]),
+                              Simplex([(2, 0), (0, 2), (2, 2)])])
+    tree = SubdividedComplex(base).refine(2)
+    members = sorted(base.simplices, key=lambda s: sorted(s.vertices))
+    subsets = members[:5] + ["all"] + members[5:] + [
+        Simplex([(1, 0), (0, 1)]), CompactSample(((F(1, 2), F(1, 3)),))]
+    spec = NeighborhoodSpec(
+        Constraint(subset, OpenBall((F(0), F(0)), 10 + k))
+        for k, subset in enumerate(subsets))
+    regions = _cell_regions_for(
+        tree, spec, _constraints_by_face(tree.base, spec), 2)
+    hit_counts = [0] * len(subsets)
+    for cell in tree.final.tops():
+        want = [c.region for c in spec if c.meets_simplex(cell)]
+        got = regions[cell.key]
+        got = got.parts if isinstance(got, Intersection) else [got]
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
+        for k, con in enumerate(spec):
+            hit_counts[k] += con.region in got
+    cells = len(tree.final.tops())
+    assert hit_counts[5] == cells
+    assert all(0 < n < cells for k, n in enumerate(hit_counts) if k != 5)
+
+
+def test_flatten_region_keeps_first_occurrences():
+    # a shared part object is taken once and equal plane complements
+    # collapse to the first one met, in the traversal order of the parent
+    hs = HalfSpace((1, 0, 0, 0), 0)
+    ball = OpenBall((F(0),) * 4, 1)
+    first, second = (CoordinatePlaneComplement(4, 0, 1) for _ in range(2))
+    inner = Intersection([hs, second])
+    convex, planes = _flatten_region(
+        Intersection([inner, ball, inner, first, hs]))
+    assert len(convex) == 2 and convex[0] is hs and convex[1] is ball
+    assert len(planes) == 1 and planes[0] is first

@@ -111,6 +111,59 @@ def test_injectivity_leg_two_square_shapes():
     assert leg["beta"] == 1
 
 
+def two_square_pair():
+    """The plane model and the square pair of the two-square leg."""
+    model = plane_model(4, [(1, {0, 1}), (2, {0, 1, 2, 3})])
+    tau = LoopModel([(1, 1, 0, 0), (-2, 2, 0, 0), (-2, -2, 0, 0),
+                     (2, -2, 0, 0)], axis=(0, 1))
+    return model, unit_square_loop(dim=4), tau
+
+
+def test_injectivity_leg_exact_operation_count(monkeypatch):
+    # machine-independent budget on the two-square pair at u_levels=1:
+    # constraints are found through the origin sets of a cell's vertices
+    # (961,662 Fraction hashes when every cell was tested against every
+    # constraint), and a sub-engine starts at the face and coordinates its
+    # outer engine found (857 matrix inversions and 7,431 barycentric
+    # solves when it solved for them again)
+    model, sigma, tau = two_square_pair()
+    calls = {"__hash__": 0, "invert": 0, "barycentric": 0, "theta": 0}
+    _count_calls(monkeypatch, calls, Fraction, "__hash__")
+    _count_calls(monkeypatch, calls, linalg, "invert")
+    _count_calls(monkeypatch, calls, Simplex, "barycentric")
+    _count_calls(monkeypatch, calls, ThetaEngine, "theta")
+    leg = injectivity_leg(model, sigma, tau, FAST, u_levels=1)
+    assert leg["endpoints_frozen"] and leg["grid_ok"] and leg["beta"] == 1
+    assert 0 < calls["__hash__"] <= 200_000
+    assert 0 < calls["invert"] <= 560
+    assert 0 < calls["barycentric"] <= 7_200
+    assert 0 < calls["theta"] <= 1_544
+
+
+def test_engine_frozen_keys_follow_the_roots_to_the_carrier():
+    model, sigma, tau = two_square_pair()
+    record = injectivity_leg(model, sigma, tau, FAST, u_levels=1)["record"]
+    trees = []
+    frozen = []
+    engine = record.engine
+    for _ in range(2):  # the engine and its sub-engine
+        trees.append(engine.tree)
+        frozen.append(0)
+        for top in engine.tree.final.tops():
+            if top.rank < engine.rank:
+                continue
+            root = top
+            for tree in reversed(trees):
+                root = tree.root(root)
+            inside = record.relative.contains_simplex(root)
+            assert (top.key in engine.frozen_keys) == inside
+            frozen[-1] += inside
+        engine = engine.sub
+    # the carrier holds edges only: prism tops are free, edges of the
+    # frozen column and of both end loops are frozen in the sub-engine
+    assert frozen[0] == 0 and frozen[1] > 0
+
+
 def test_injectivity_leg_rejects_unequal_winding():
     model = plane_model(4, [(1, {0, 1}), (2, {0, 1, 2, 3})])
     sigma = unit_square_loop(dim=4)

@@ -377,12 +377,16 @@ def test_locate_final_descends_through_pieces(monkeypatch):
                   for d in range(2))
         holders = [s for s in base.simplices if s.contains(x)]
         kinds.add(min(s.rank for s in holders))
-        for hint in [None] + holders:
-            got, coords = tree.locate_final(x, hint)
+        for face in [None] + holders:
+            # a start is taken as given: no solve runs in a fresh copy
+            copy = face and Simplex.trusted(face.vertices)
+            start = face and (copy, face.barycentric(x))
+            got, coords = tree.locate_final(x, start)
+            assert copy is None or copy._solver is None
             assert got.contains(x) and coords == got.barycentric(x)
-            start = hint or base.locate(x)[0]
-            assert got.rank == start.rank
-            assert all(start.contains(v) for v in got.vertices)
+            face = face or base.locate(x)[0]
+            assert got.rank == face.rank
+            assert all(face.contains(v) for v in got.vertices)
             assert got in tree.final
     assert kinds == {1, 2, 3}
     assert tree.locate_final((F(3), F(3))) is None
