@@ -16,6 +16,7 @@ exact support certificates.
 """
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -454,14 +455,31 @@ def _constraints_by_face(base, spec):
 
 
 def _cell_regions_for(tree, spec, index, ambient_dim):
-    """Per final top, the regions of the constraints it meets in spec
-    order; the origin sets of its vertices look up the indexed ones."""
+    """Per final top, the regions of the constraints it binds in spec
+    order; the origin sets of its vertices look up the indexed ones.
+
+    A top ``T`` of rank at least 2 binds an indexed constraint ``K`` (a
+    member simplex of the base) when at least two of its vertices lie in
+    ``K``.  The final complex subdivides the base, so those vertices span
+    ``T ∩ K``: ``T`` binds ``K`` when ``T ∩ K`` is at least an edge.
+    Rank-1 tops, ``"all"``, ``CompactSample`` subsets and non-member
+    simplices bind every constraint they meet.
+
+    This is sound.  Take a face ``f ⊆ K`` of rank at least 2: every top
+    containing ``f`` meets ``K`` in at least ``f``, so it binds ``K`` and
+    its chart core lies in ``W_K``; the sub-engine's constraints keep
+    ``f`` inside the intersection of those cores.  Where ``K`` meets the
+    complex in a vertex ``v`` and nothing more, the homotopy keeps
+    ``gamma0(v)`` for all times (property (h)), and the input check
+    ``NeighborhoodSpec.check_map`` already puts that value in ``W_K``.
+    """
     by_face, scanned = index
     out = {}
     for cell in tree.final.tops():
         hits = {i for i in scanned if spec.constraints[i].meets_simplex(cell)}
-        for origin in {tree.origins[v] for v in cell.vertices}:
-            hits.update(by_face.get(origin, ()))
+        inside = Counter(i for v in cell.vertices
+                         for i in by_face.get(tree.origins[v], ()))
+        hits.update(i for i, n in inside.items() if n >= min(cell.rank, 2))
         regs = [spec.constraints[i].region for i in sorted(hits)]
         if not regs:
             out[cell.key] = FullSpace(ambient_dim)
@@ -522,6 +540,25 @@ def _charts_fit(tree, gamma0, cell_regions, provider):
 
 def _point_text(p):
     return "(" + ", ".join(str(c) for c in p) + ")"
+
+
+def _violation_text(complex_, fn, spec, details):
+    """Names the first failing constraint of ``details`` and the first
+    vertex (or sample point) of its subset whose image leaves its region."""
+    i = next(d["constraint"] for d in details if not d["ok"])
+    con = spec.constraints[i]
+    kind, points = "vertex", complex_.vertices()
+    if isinstance(con.subset, CompactSample):
+        kind, points = "sample point", con.subset.points
+    elif con.subset != "all":
+        points = [v for v in con.subset.vertices + tuple(points)
+                  if con.subset.contains(v)]
+    bad = next((p for p in points if not con.region.contains(fn(p))), None)
+    text = f"base map violates the neighbourhood spec: constraint {i}"
+    if bad is None:
+        return f"{text} leaves its region inside its subset"
+    return (f"{text} maps the {kind} {_point_text(bad)} of its subset to "
+            f"{_point_text(fn(bad))}, outside its region")
 
 
 def build_engine(tree, gamma0, spec, frozen, model, config, rng=None):
@@ -622,8 +659,7 @@ def simultaneous_approximation(complex_, gamma0, spec, relative, model,
 
     ok, details = spec.check_map(tree.final, gamma0, rng=rng)
     if not ok:
-        raise InputError(
-            f"base map violates the neighbourhood spec: {details}")
+        raise InputError(_violation_text(tree.final, gamma0, spec, details))
 
     frozen = set() if relative is None else {
         s.key for s in complex_.simplices if relative.contains_simplex(s)}
@@ -675,7 +711,8 @@ def _push_targets(engine, gamma0, model):
         gx = tuple(gamma0(x))
         if model.in_m_infinity(gx):
             continue
-        regions = [con.region for con in engine.P
+        # with the input spec: a constraint met at x alone binds no top
+        regions = [con.region for con in (*engine.P, *engine.spec)
                    if con.domain_contains(x)]
         target = Intersection(regions) if regions \
             else FullSpace(model.ambient_dim)

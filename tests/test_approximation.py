@@ -12,7 +12,7 @@ from ascolim.approximation import (BoundTheta, Constraint, EngineConfig,
                                    individual_approximation,
                                    simultaneous_approximation,
                                    verify_theta_properties)
-from ascolim.errors import InputError
+from ascolim.errors import InputError, ResolutionExceededError
 from ascolim.filling import fill
 from ascolim.filtered_spaces import (CompactSample, FilteredSpaceModel,
                                      Filtration)
@@ -243,6 +243,77 @@ def test_engine_rejects_map_violating_spec():
         simultaneous_approximation(cx, bad, spec, None, model, CONFIG)
 
 
+def test_constraint_met_at_one_vertex_is_still_enforced():
+    # a constraint on one vertex binds no top of the engine; the input
+    # check rejects a map sending that vertex outside the region, and its
+    # message names the constraint, the vertex and the image exactly
+    cx, corners = square_domain()
+    model = plane_model()
+    gamma = loop_map(cx, corners)
+    vertex = Simplex([(-1, -1)])
+    carrier = Constraint("all", model.carrier)
+    upper = HalfSpace((0, 1, 0, 0), F(1, 3))     # x_1 > 1/3
+    spec = NeighborhoodSpec([carrier, Constraint(vertex, upper)])
+    with pytest.raises(InputError) as err:
+        simultaneous_approximation(cx, gamma, spec, None, model, CONFIG)
+    assert str(err.value) == (
+        "base map violates the neighbourhood spec: constraint 1 maps the "
+        "vertex (-1, -1) of its subset to (-1, -1, 0, 0), outside its "
+        "region")
+
+
+def test_constraint_met_at_one_vertex_binds_no_top():
+    # the image of the vertex lies inside: the engine certifies, refines
+    # no more than without the constraint, and no top containing the
+    # vertex takes its region
+    cx, corners = square_domain()
+    model = plane_model()
+    gamma = loop_map(cx, corners)
+    lower = HalfSpace((F(-1, 2), -1, 0, 0), F(1, 2))  # x_0 / 2 + x_1 < -1/2
+    carrier = Constraint("all", model.carrier)
+    spec = NeighborhoodSpec([carrier, Constraint(Simplex([(-1, -1)]),
+                                                 lower)])
+    _, _, engine = simultaneous_approximation(cx, gamma, spec, None, model,
+                                              CONFIG)
+    _, _, plain = simultaneous_approximation(
+        cx, gamma, NeighborhoodSpec([carrier]), None, model, CONFIG)
+    assert engine.tree.depth == plain.tree.depth
+    regions = _cell_regions_for(engine.tree, spec,
+                                _constraints_by_face(engine.tree.base, spec),
+                                4)
+    tops = [top for top in engine.tree.final.tops()
+            if (F(-1), F(-1)) in top.vertices]
+    assert len(tops) == 2
+    for top in tops:
+        assert regions[top.key] is model.carrier
+    report = verify_theta_properties(engine, gamma,
+                                     SamplingPlan(points_per_cell=1,
+                                                  t_points=4))
+    assert report["a"] and report["h"] and report["b"], report["b_details"]
+
+
+def test_push_keeps_a_constraint_met_at_one_vertex():
+    # the anchor push moves the image of the lifted corner onto the step
+    # plane; a constraint on that corner alone binds no top, so the push
+    # target takes it from the input spec: the push is refused when the
+    # step point leaves its region, and certified when it stays inside
+    cx, corners = square_domain()
+    model = plane_model()
+    gamma = loop_map(cx, corners, pert=((-1, -1), {2: F(1, 8)}))
+    carrier = Constraint("all", model.carrier)
+    corner = Simplex([(-1, -1)])
+    lifted = HalfSpace((0, 0, 1, 0), F(1, 16))   # x_2 > 1/16
+    spec = NeighborhoodSpec([carrier, Constraint(corner, lifted)])
+    with pytest.raises(ResolutionExceededError):
+        individual_approximation(cx, gamma, spec, None, model, 1, CONFIG)
+    left = HalfSpace((-1, 0, 0, 0), F(1, 2))     # x_0 < -1/2
+    spec = NeighborhoodSpec([carrier, Constraint(corner, left)])
+    record = individual_approximation(cx, gamma, spec, None, model, 1,
+                                      CONFIG)
+    assert record.grid_ok and record.beta == 1
+    assert record.pushed_points == [((-1, -1), (-1, -1, 0, 0))]
+
+
 def test_ball_chart_fallback_engine():
     # a model whose carrier mixes a ball with the plane complement, so
     # the convex fast path cannot flatten it and the bisection path runs
@@ -344,8 +415,10 @@ def test_property_check_reuses_the_grid_complex(monkeypatch):
 def test_cell_regions_through_origin_faces_keep_spec_order():
     # every kind of constraint subset, with "all" not first and more
     # constraints than a small set has slots: the regions found through
-    # the vertices' origin sets are the very regions a scan of every
-    # constraint finds, in spec order
+    # the vertices' origin sets are the very regions the binding rule
+    # finds, in spec order.  A cell binds a member simplex when at least
+    # two of its vertices lie in it (they meet in at least an edge), and
+    # every other subset when it meets it
     base = SimplicialComplex([Simplex([(0, 0), (2, 0), (0, 2)]),
                               Simplex([(2, 0), (0, 2), (2, 2)])])
     tree = SubdividedComplex(base).refine(2)
@@ -357,18 +430,35 @@ def test_cell_regions_through_origin_faces_keep_spec_order():
         for k, subset in enumerate(subsets))
     regions = _cell_regions_for(
         tree, spec, _constraints_by_face(tree.base, spec), 2)
+
+    def binds(con, cell):
+        if cell.rank >= 2 and isinstance(con.subset, Simplex) \
+                and con.subset in base:
+            inside = sum(con.subset.contains(v) for v in cell.vertices)
+            return inside >= 2
+        return con.meets_simplex(cell)
+
     hit_counts = [0] * len(subsets)
+    vertex_only = 0
     for cell in tree.final.tops():
-        want = [c.region for c in spec if c.meets_simplex(cell)]
+        want = [c.region for c in spec if binds(c, cell)]
         got = regions[cell.key]
         got = got.parts if isinstance(got, Intersection) else [got]
         assert len(got) == len(want)
         assert all(a is b for a, b in zip(got, want))
         for k, con in enumerate(spec):
             hit_counts[k] += con.region in got
+            vertex_only += con.meets_simplex(cell) and not binds(con, cell)
     cells = len(tree.final.tops())
+    assert vertex_only > 0  # a cell meeting a face at one vertex only
     assert hit_counts[5] == cells
-    assert all(0 < n < cells for k, n in enumerate(hit_counts) if k != 5)
+    for k, subset in enumerate(subsets):
+        if k == 5:
+            continue
+        if isinstance(subset, Simplex) and subset.rank == 1:
+            assert hit_counts[k] == 0  # a vertex never binds
+        else:
+            assert 0 < hit_counts[k] < cells
 
 
 def test_flatten_region_keeps_first_occurrences():

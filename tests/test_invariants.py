@@ -123,9 +123,13 @@ def test_injectivity_leg_exact_operation_count(monkeypatch):
     # machine-independent budget on the two-square pair at u_levels=1:
     # constraints are found through the origin sets of a cell's vertices
     # (961,662 Fraction hashes when every cell was tested against every
-    # constraint), and a sub-engine starts at the face and coordinates its
+    # constraint), a sub-engine starts at the face and coordinates its
     # outer engine found (857 matrix inversions and 7,431 barycentric
-    # solves when it solved for them again)
+    # solves when it solved for them again), and a top binds a core only
+    # where it meets that face in at least an edge, so the rank-2
+    # sub-engine does not refine (640 tops, 138,105 hashes, 513
+    # inversions, 7,087 solves and 1,544 theta calls when a shared vertex
+    # bound it)
     model, sigma, tau = two_square_pair()
     calls = {"__hash__": 0, "invert": 0, "barycentric": 0, "theta": 0}
     _count_calls(monkeypatch, calls, Fraction, "__hash__")
@@ -134,10 +138,11 @@ def test_injectivity_leg_exact_operation_count(monkeypatch):
     _count_calls(monkeypatch, calls, ThetaEngine, "theta")
     leg = injectivity_leg(model, sigma, tau, FAST, u_levels=1)
     assert leg["endpoints_frozen"] and leg["grid_ok"] and leg["beta"] == 1
-    assert 0 < calls["__hash__"] <= 200_000
-    assert 0 < calls["invert"] <= 560
-    assert 0 < calls["barycentric"] <= 7_200
-    assert 0 < calls["theta"] <= 1_544
+    assert 0 < calls["__hash__"] <= 80_000
+    assert 0 < calls["invert"] <= 100
+    assert 0 < calls["barycentric"] <= 4_000
+    assert 0 < calls["theta"] <= 1_400
+    assert len(leg["record"].engine.sub.tree.final.tops()) == 80
 
 
 def test_engine_frozen_keys_follow_the_roots_to_the_carrier():
@@ -226,6 +231,26 @@ def test_chart_cover_error_names_level_pass_and_cell():
     fine = EngineConfig(max_subdivision=1, t_grid=4, probe_per_cell=1)
     leg = surjectivity_leg(model, probe, fine)
     assert leg["winding_before"] == leg["winding_after"] == 1
+
+
+def test_injectivity_leg_triangle_pair_certifies():
+    # equal-winding triangle loops in the criterion-6 model: a top that
+    # meets an outer core's cell at one vertex does not bind that core,
+    # so refinement stops (when it bound the core, no level up to 6
+    # admitted a chart cover)
+    model = plane_model(8, [(2, {0, 1}), (4, {0, 1, 2, 3})])
+    config = EngineConfig(max_subdivision=6, bake_level=1, t_grid=50,
+                          probe_per_cell=2)
+    corners = [(1, 1), (-2, 1), (1, -2)]
+    sigma = LoopModel([tuple(F(c) for c in p) + (F(0),) * 6
+                       for p in corners], axis=(0, 1))
+    lifted = [list(v) for v in sigma.vertices]
+    lifted[1][2] = F(1, 2)
+    tau = LoopModel([tuple(v) for v in lifted], axis=(0, 1))
+    leg = injectivity_leg(model, sigma, tau, config, u_levels=1)
+    assert leg["grid_ok"]
+    assert leg["endpoints_frozen"]
+    assert leg["beta"] == 4
 
 
 def test_subdivision_build_hash_and_solve_count(monkeypatch):
