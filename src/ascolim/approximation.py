@@ -123,12 +123,14 @@ class NeighborhoodSpec:
     def __len__(self):
         return len(self.constraints)
 
-    def check_map(self, complex_, evaluator, rng=None, samples=2):
+    def check_map(self, complex_, evaluator, rng=None, samples=2, *,
+                  _verdicts=None):
         """Membership of a map, constraint by constraint.
 
         Cell images are checked exactly through hull containment where
         the region algebra decides; anything undecidable falls back to
         seeded barycentric sampling.  Returns ``(ok, details)``.
+        ``_verdicts`` is private to ``_certify_grid``.
         """
         rng = rng or random.Random(0)
         fn = as_evaluator(evaluator)
@@ -136,7 +138,7 @@ class NeighborhoodSpec:
         ok = True
         for i, con in enumerate(self.constraints):
             verdict, mode = _check_constraint(complex_, fn, con, rng,
-                                              samples)
+                                              samples, i, _verdicts)
             details.append({"constraint": i, "ok": verdict, "mode": mode})
             ok = ok and verdict
         return ok, details
@@ -173,12 +175,15 @@ def _image_inside(region, fn, cell, hull_ok, rng, samples):
     return True, False
 
 
-def _check_constraint(complex_, fn, con, rng, samples):
-    """Membership in one ``image of K inside W`` constraint.
+def _check_constraint(complex_, fn, con, rng, samples, index, verdicts):
+    """Membership in one ``image of K inside W`` constraint, the one at
+    ``index`` in its spec.
 
     Only the image of K matters, so the cell-image check runs over the
     cells of the complex contained in K; when K is finer than every cell
     (a single vertex, an unrefined simplex) it runs on K itself.
+    ``verdicts`` is None or ``(reused, ids)`` from ``_certify_grid``; K
+    itself has no ``ids``, so its verdicts are never reused.
     """
     if isinstance(con.subset, CompactSample):
         return all(con.region.contains(fn(p))
@@ -187,11 +192,19 @@ def _check_constraint(complex_, fn, con, rng, samples):
     cells = complex_.tops() if subset == "all" else [
         cell for cell in complex_.tops()
         if all(subset.contains(v) for v in cell.vertices)] or [subset]
+    reused, ids = verdicts or ({}, {})
     hull_ok = _is_pl(fn)
     exact = True
     for cell in cells:
-        ok, by_hull = _image_inside(con.region, fn, cell, hull_ok, rng,
-                                    samples)
+        value_ids = ids.get(id(cell))
+        key = (index, id(cell), value_ids)
+        ok = reused.get(key) if value_ids else None
+        by_hull = ok is not None
+        if not by_hull:
+            ok, by_hull = _image_inside(con.region, fn, cell, hull_ok, rng,
+                                        samples)
+            if by_hull and value_ids:
+                reused[key] = ok
         if not ok:
             return False, "exact" if by_hull else "sampled"
         exact = exact and by_hull
@@ -334,45 +347,41 @@ class ThetaEngine:
         return SubdividedComplex(self.tree.final).refine(
             self.config.bake_level).final
 
-    def theta(self, session, x, t, start=None):
-        """Evaluate the homotopy at ``(x, t)`` for the bound map.
+    def theta(self, session, x, ts, start=None):
+        """Values of the homotopy at ``x`` for the bound map, one per time
+        of the tuple ``ts``, from one descent: the location of ``x``, its
+        cone decomposition, ``gamma(x)``, ``gamma(y)`` and the anchor value
+        serve every time.  The times ``t <= 1/2`` get the blend; the others
+        go to the sub-engine as one tuple of ``2t - 1``.  A repeated value
+        is one object, computed once (a rank-1 engine, a frozen top,
+        ``t <= 1/2`` on the skeleton, the fill of each sub-engine value).
 
         ``start`` is a base simplex holding ``x`` and the coordinates of
         ``x`` in it, as an outer engine found them: a lower-rank final top,
         the positive-coordinate face of a top, or a cone exit face."""
         gamma = session.gamma
         if self.rank == 1:
-            return tuple(gamma(x))
+            return (tuple(gamma(x)),) * len(ts)
         hit = self.tree.locate_final(x, start)
         if hit is None:
             raise InputError(f"point {x!r} outside the engine domain")
         top, coords = hit
-        if top.rank < self.rank:
-            return self._skeleton_value(session, x, t, hit)
-        if any(c == 0 for c in coords):
+        if top.rank == self.rank and all(c > 0 for c in coords):
+            if top.key in self.frozen_keys:
+                return (tuple(gamma(x)),) * len(ts)
+            return self._interior(session, top, x, coords, ts)
+        if top.rank == self.rank:
             # on the skeleton: both branch definitions agree there
             face = Simplex.trusted(
                 [v for v, c in zip(top.vertices, coords) if c > 0])
-            start = (face, tuple(c for c in coords if c > 0))
-            return self._skeleton_value(session, x, t, start)
-        if top.key in self.frozen_keys:
-            return tuple(gamma(x))
-        if 2 * t <= 1:
-            s = 2 * t
-            fill_val = self._fill(session, top, x, coords, None)
-            return tuple((1 - s) * a + s * b
-                         for a, b in zip(gamma(x), fill_val))
-        return self._fill(session, top, x, coords, 2 * t - 1)
+            hit = (face, tuple(c for c in coords if c > 0))
+        return _by_half(ts, lambda ss: (tuple(gamma(x)),) * len(ss),
+                        lambda ss: self.sub.theta(session, x, ss, hit))
 
-    def _skeleton_value(self, session, x, t, start):
-        if 2 * t <= 1:
-            return tuple(session.gamma(x))
-        return self.sub.theta(session, x, 2 * t - 1, start)
-
-    def _fill(self, session, top, x, coords, s):
-        """Filled boundary extension over ``top`` at ``x``, whose
-        barycentric coordinates are ``coords``: of ``gamma`` when ``s`` is
-        None, else of the sub-engine's slice ``s``.
+    def _interior(self, session, top, x, coords, ts):
+        """Values at ``x`` inside a free top, with barycentric ``coords``:
+        the blend of ``gamma`` into its filled boundary extension, then the
+        filled extensions of the sub-engine's slices.
 
         The anchor is a vertex of every finer complex, where every slice
         keeps ``gamma``'s value (property (h)), so one ``gamma(anchor)``
@@ -384,55 +393,103 @@ class ThetaEngine:
         if key not in session.cache:
             session.cache[key] = tuple(session.gamma(self.anchors[top.key]))
         anchor_val = session.cache[key]
-        if cd.t == 1:
-            return anchor_val
-        y = cd.boundary_point(top)
-        if s is None:
-            value = session.gamma(y)
-        else:
+        y = None if cd.t == 1 else cd.boundary_point(top)
+
+        def early(ss):
+            filled = anchor_val if y is None else _lerps(
+                (cd.t,), anchor_val, tuple(session.gamma(y)))[0]
+            return _lerps([1 - s for s in ss], tuple(session.gamma(x)),
+                          filled)
+
+        def late(ss):
+            if y is None:
+                return (anchor_val,) * len(ss)
             face = Simplex.trusted([top.vertices[i] for i in cd.indices])
-            value = self.sub.theta(session, y, s, (face, cd.exit_weights()))
-        return tuple(cd.t * a + (1 - cd.t) * b
-                     for a, b in zip(anchor_val, value))
+            subs = self.sub.theta(session, y, ss, (face, cd.exit_weights()))
+            filled = {id(v): v for v in subs}
+            filled = {k: _lerps((cd.t,), anchor_val, v)[0]
+                      for k, v in filled.items()}
+            return tuple(filled[id(v)] for v in subs)
+
+        return _by_half(ts, early, late)
+
+
+def _by_half(ts, early, late):
+    """One value per time of ``ts``, in order: ``early`` gives the values
+    of the times ``t <= 1/2`` from the tuple of their ``2t``, ``late``
+    those of the others from the tuple of their ``2t - 1``.  Neither runs
+    on an empty tuple."""
+    lo = tuple(2 * t for t in ts if 2 * t <= 1)
+    hi = tuple(2 * t - 1 for t in ts if 2 * t > 1)
+    lo, hi = iter(early(lo) if lo else ()), iter(late(hi) if hi else ())
+    return tuple(next(lo) if 2 * t <= 1 else next(hi) for t in ts)
+
+
+def _lerps(ws, a, b):
+    """``w*a + (1 - w)*b`` per weight of ``ws``, as ``b + w*(a - b)`` on
+    the coordinates where ``a`` and ``b`` differ; a value equal to ``a``
+    or ``b`` is that very object, with no arithmetic."""
+    if a == b:
+        return (a,) * len(ws)
+    diff = [p - q if p != q else 0 for p, q in zip(a, b)]
+    return tuple(a if w == 1 else b if w == 0 else tuple(
+        q + w * d if d else q for q, d in zip(b, diff)) for w in ws)
 
 
 class BoundTheta:
-    """The engine bound to one input map, with a per-map value cache."""
+    """The engine bound to one input map, with a per-map value cache.
+
+    ``values(x, ts)`` is one descent for the tuple of times ``ts``, and
+    ``self(x, t)`` its case of one time.  Each value combines map values
+    with weights set by ``x`` and ``t`` alone, so the engine is linear in
+    its map: for an anchor push ``g_t = (1 - t)*gamma0 + t*g_1``, exactly
+    ``theta[g_t](x, t) = (1 - t)*theta[gamma0](x, t) + t*theta[g_1](x, t)``.
+    """
 
     def __init__(self, engine, gamma):
         self.engine = engine
         self.gamma = as_evaluator(gamma)
         self.cache = {}
 
+    def values(self, x, ts):
+        return self.engine.theta(self, tuple(x), tuple(map(to_rat, ts)))
+
     def __call__(self, x, t):
-        return self.engine.theta(self, tuple(x), to_rat(t))
+        return self.values(x, (t,))[0]
 
     def final_map(self):
         return FuncMap(lambda x: self(x, 1))
 
 
-def bake_on(complex_, fn):
-    """PLMap through the vertex values of a fixed complex."""
-    fn = as_evaluator(fn)
-    values = {tuple(v): tuple(fn(v)) for v in complex_.vertices()}
-    return PLMap(complex_, values)
+def bake_on(complex_, column):
+    """PLMap through the vertex values ``column`` of a fixed complex, in
+    the order of ``complex_.vertices()``."""
+    return PLMap(complex_, column)
 
 
-def _certify_grid(engine, homotopy, n, seed):
-    """Check each time slice ``t = k/n`` of ``homotopy`` against the
-    engine's spec.
-
-    Each slice is baked on the engine's grid complex and checked with a
-    fresh ``random.Random(seed)``; returns one ``{"t", "ok", "details"}``
-    report per slice.
+def _certify_grid(engine, rows, ts, seed):
+    """Check the time slices ``ts`` against the engine's spec; ``rows``
+    holds the values at the times ``ts`` per grid vertex, in ``vertices()``
+    order.  Slice ``k`` is baked from column ``k`` and checked in full with
+    a fresh ``random.Random(seed)``; one ``{"t", "ok", "details"}`` report
+    per slice.  A hull-decided verdict on a constraint and a grid top is
+    reused in a later slice whose values at the top's vertices are the
+    very same objects (``rows`` holds them, so no id is reused): the hull
+    test would get the same exact input and draws nothing from the rng.
+    Sampled verdicts and a constraint checked on its subset are not reused.
     """
     grid = engine.grid_complex
+    order = {v: i for i, v in enumerate(grid.vertices())}
+    tops = [(id(top), [order[v] for v in top.vertices])
+            for top in grid.tops()]
+    reused = {}
     reports = []
-    for k in range(n + 1):
-        t = RAT(k, n)
-        baked_slice = bake_on(grid, lambda x, _t=t: homotopy(x, _t))
-        ok, details = engine.spec.check_map(grid, baked_slice,
-                                            rng=random.Random(seed))
+    for k, t in enumerate(ts):
+        column = [row[k] for row in rows]
+        ids = {top: tuple(id(column[i]) for i in at) for top, at in tops}
+        ok, details = engine.spec.check_map(
+            grid, bake_on(grid, column), rng=random.Random(seed),
+            _verdicts=(reused, ids))
         reports.append({"t": str(t), "ok": ok, "details": details})
     return reports
 
@@ -820,21 +877,21 @@ def _sqrt_upper(value):
 
 
 def _make_push_map(gamma0, centers, eps):
+    """The pushed map ``g_1``: each centre's value moves to its step point
+    ``v_x``, radially in the squared distance within ``eps`` of it."""
     eps_sq = eps * eps
 
-    def g_map(z, t):
+    def g_1(z):
         z = tuple(z)
         gz = tuple(gamma0(z))
         for (x, _, _, v_x) in centers:
             d_sq = sqdist(z, x)
             if d_sq <= eps_sq:
                 q = d_sq / eps_sq
-                bumped = tuple((1 - q) * v + q * g for v, g in zip(v_x, gz))
-                return tuple(t * b + (1 - t) * g
-                             for b, g in zip(bumped, gz))
+                return tuple((1 - q) * v + q * g for v, g in zip(v_x, gz))
         return gz
 
-    return g_map
+    return g_1
 
 
 def individual_approximation(complex_, gamma0, spec, relative, model,
@@ -864,39 +921,33 @@ def individual_approximation(complex_, gamma0, spec, relative, model,
                                               relative, model, config)
     moved = _push_targets(engine, gamma0, model)
 
+    start = BoundTheta(engine, gamma0)
     if not moved:
-        start_map = gamma0
-        bound_final = BoundTheta(engine, gamma0)
-        homotopy = bound_final.__call__
+        start_map, end, values = gamma0, start, start.values
     else:
         eps = _epsilon_for(moved, engine, gamma0, relative)
-        g_map = _make_push_map(gamma0, moved, eps)
-        sessions = {}
+        start_map = FuncMap(_make_push_map(gamma0, moved, eps))
+        end = BoundTheta(engine, start_map)
 
-        def homotopy(x, t):
-            t = RAT(t)
-            if t not in sessions:
-                sessions[t] = BoundTheta(
-                    engine, lambda z, _t=t: g_map(z, _t))
-            return sessions[t](x, t)
+        def values(x, ts):
+            # the linear identity of BoundTheta, for the pushed map
+            return tuple(_lerps((1 - to_rat(t),), a, b)[0] for t, a, b
+                         in zip(ts, start.values(x, ts), end.values(x, ts)))
 
-        start_map = FuncMap(lambda z: g_map(z, 1))
-        bound_final = BoundTheta(engine, start_map)
-
-    eta = bound_final.final_map()
-    eta_baked = bake_on(engine.grid_complex, eta)
+    ts = tuple(RAT(k, config.t_grid) for k in range(config.t_grid + 1))
+    rows = [values(v, ts) for v in engine.grid_complex.vertices()]
+    eta_baked = bake_on(engine.grid_complex, [row[-1] for row in rows])
     beta, escaped = filt.absorbing_step(eta_baked.values.values(),
                                         at_least=alpha)
     if escaped is not None:
         raise AbsorptionError("endpoint escapes every step",
                               witness=escaped)
-    grid_reports = _certify_grid(engine, homotopy, config.t_grid,
-                                 config.seed)
+    grid_reports = _certify_grid(engine, rows, ts, config.seed)
 
     return HomotopyRecord(
-        homotopy=homotopy,
+        homotopy=lambda x, t: values(x, (t,))[0],
         start_map=start_map,
-        eta=eta,
+        eta=end.final_map(),
         eta_baked=eta_baked,
         beta=beta,
         relative=relative,
@@ -931,63 +982,44 @@ def verify_theta_properties(engine, gamma, plan=None, constant_cells=None):
     session = BoundTheta(engine, gamma)
     report = {}
 
+    def points(cell):
+        return [combine(cell.vertices, _random_weights(rng, cell.rank))
+                for _ in range(plan.points_per_cell)]
+
+    def keeps(x, y):
+        return all(v == y for v in session.values(x, t_grid))
+
     cells = engine.tree.final.tops()
-    samples = []
-    for cell in cells:
-        for _ in range(plan.points_per_cell):
-            samples.append(combine(cell.vertices,
-                                   _random_weights(rng, cell.rank)))
-    t_grid = [RAT(k, plan.t_points) for k in range(plan.t_points + 1)]
+    samples = [x for cell in cells for x in points(cell)]
+    t_grid = tuple(RAT(k, plan.t_points) for k in range(plan.t_points + 1))
 
-    report["a"] = all(session(x, 0) == tuple(gamma(x)) for x in samples)
-
-    eta_vals = {}
-    for x in samples:
-        eta_vals[x] = session(x, 1)
+    ends = {x: session.values(x, (RAT(0), RAT(1))) for x in samples}
+    report["a"] = all(ends[x][0] == tuple(gamma(x)) for x in samples)
     report["e"] = report["a"] and all(
-        eta_vals[x] == session(x, 1) for x in samples)
+        ends[x][1] == session(x, 1) for x in samples)
 
-    anchor_ok = True
-    for x in engine.S:
-        gx = tuple(gamma(x))
-        if any(session(x, t) != gx for t in t_grid):
-            anchor_ok = False
-            break
-    report["h"] = anchor_ok
-
-    frozen_ok = True
-    for key in engine.frozen_keys:
-        cell = next(c for c in cells if c.key == key)
-        for _ in range(plan.points_per_cell):
-            x = combine(cell.vertices, _random_weights(rng, cell.rank))
-            gx = tuple(gamma(x))
-            if any(session(x, t) != gx for t in t_grid):
-                frozen_ok = False
-    report["relative"] = frozen_ok
-
+    report["h"] = all(keeps(x, tuple(gamma(x))) for x in engine.S)
+    by_key = {cell.key: cell for cell in cells}
+    frozen = [x for key in engine.frozen_keys for x in points(by_key[key])]
+    report["relative"] = all(keeps(x, tuple(gamma(x))) for x in frozen)
     if constant_cells:
-        const_ok = True
-        for cell in constant_cells:
-            y = tuple(gamma(cell.vertices[0]))
-            for _ in range(plan.points_per_cell):
-                x = combine(cell.vertices, _random_weights(rng, cell.rank))
-                if any(session(x, t) != y for t in t_grid):
-                    const_ok = False
-        report["g"] = const_ok
+        report["g"] = all(keeps(x, tuple(gamma(cell.vertices[0])))
+                          for cell in constant_cells for x in points(cell))
 
-    grid = _certify_grid(engine, session, plan.t_points, plan.seed)
+    rows = [session.values(v, t_grid) for v in engine.grid_complex.vertices()]
+    grid = _certify_grid(engine, rows, t_grid, plan.seed)
     report["b"] = all(r["ok"] for r in grid)
     report["b_details"] = [{"t": r["t"], "ok": r["ok"]} for r in grid]
 
     twin = _twin_input(engine, gamma)
     if twin is not None:
         twin_session = BoundTheta(engine, twin)
-        report["c"] = all(session(x, 1) == twin_session(x, 1)
+        report["c"] = all(ends[x][1] == twin_session(x, 1)
                           for x in samples)
     else:
         report["c"] = None
 
-    eta_baked = bake_on(engine.grid_complex, session.final_map())
+    eta_baked = bake_on(engine.grid_complex, [row[-1] for row in rows])
     beta, escaped = engine.model.filtration.absorbing_step(
         eta_baked.values.values())
     report["d"] = {"beta": beta, "escaped": escaped}

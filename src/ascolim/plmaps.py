@@ -8,13 +8,19 @@ simplex carries it, so its values at non-vertex points are memoized.
 interface: an evaluator takes one point and nothing else.
 """
 
+from collections.abc import Mapping
+
 from ascolim.errors import InputError
 from ascolim.geometry import as_point, combine
 from ascolim.simplicial import SimplicialComplex, SubdividedComplex
 
 
 class PLMap:
-    """Affine-on-each-simplex map determined by its vertex values."""
+    """Affine-on-each-simplex map determined by its vertex values.
+
+    ``values`` maps each vertex of the domain to its value, or lists the
+    values in the order of ``domain.vertices()``.
+    """
 
     def __init__(self, domain, values):
         if isinstance(domain, SubdividedComplex):
@@ -22,8 +28,10 @@ class PLMap:
         if not isinstance(domain, SimplicialComplex):
             raise InputError("PLMap domain must be a complex")
         self.domain = domain
-        self.values = {tuple(v): as_point(values[tuple(v)])
-                       for v in domain.vertices()}
+        vertices = domain.vertices()
+        if isinstance(values, Mapping):
+            values = [values[v] for v in vertices]
+        self.values = dict(zip(vertices, map(as_point, values), strict=True))
         lengths = {len(v) for v in self.values.values()}
         if len(lengths) != 1:
             raise InputError("PL values of mixed target dimension")

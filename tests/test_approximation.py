@@ -2,13 +2,15 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from ascolim.approximation import (BoundTheta, Constraint, EngineConfig,
                                    NeighborhoodSpec, SamplingPlan,
-                                   _cell_regions_for, _constraints_by_face,
-                                   _flatten_region,
+                                   _cell_regions_for, _certify_grid,
+                                   _constraints_by_face, _flatten_region,
+                                   bake_on,
                                    individual_approximation,
                                    simultaneous_approximation,
                                    verify_theta_properties)
@@ -19,7 +21,7 @@ from ascolim.filtered_spaces import (CompactSample, FilteredSpaceModel,
 from ascolim.geometry import Simplex, combine
 from ascolim.plmaps import PLMap
 from ascolim.regions import (CoordinatePlaneComplement, FullSpace,
-                             HalfSpace, Intersection, OpenBall)
+                             HalfSpace, Intersection, OpenBall, Union)
 from ascolim.simplicial import (SimplicialComplex, SubcomplexCarrier,
                                 SubdividedComplex)
 
@@ -472,3 +474,62 @@ def test_flatten_region_keeps_first_occurrences():
         Intersection([inner, ball, inner, first, hs]))
     assert len(convex) == 2 and convex[0] is hs and convex[1] is ball
     assert len(planes) == 1 and planes[0] is first
+
+
+def test_grid_check_reuses_hull_verdicts_only_where_sound(monkeypatch):
+    # an engine stand-in: a grid of two triangles and a spec over the same
+    # tops.  Slice 1 repeats the value objects of slice 0; slice 2 moves
+    # the vertex (1, 1) out of the region of constraint 1 and keeps the
+    # other objects; slice 3 has values equal to slice 2 in new objects;
+    # slice 4 repeats slice 0.  Constraint 2 is a union with a gap, which
+    # the hull test cannot decide, so it samples; constraint 3 is checked
+    # on its own subset, a vertex
+    grid = SimplicialComplex([Simplex([(0, 0), (1, 0), (0, 1)]),
+                              Simplex([(1, 0), (0, 1), (1, 1)])])
+    spec = NeighborhoodSpec([
+        Constraint("all", HalfSpace((1, 0), -10)),
+        Constraint("all", HalfSpace((-1, 0), -5)),
+        Constraint("all", Union([HalfSpace((-1, 0), F(-1, 4)),
+                                 HalfSpace((1, 0), F(3, 4))])),
+        Constraint(Simplex([(1, 1)]), HalfSpace((-1, 0), -5)),
+    ])
+    engine = SimpleNamespace(grid_complex=grid, spec=spec)
+    start = {v: (F(v[0]), F(v[1])) for v in grid.vertices()}
+    moved = dict(start)
+    moved[(1, 1)] = (F(6), F(1))
+    again = {v: tuple(F(c) for c in p) for v, p in moved.items()}
+    slices = [start, start, moved, again, start]
+    rows = [tuple(values[v] for values in slices) for v in grid.vertices()]
+    ts = tuple(F(k, 4) for k in range(5))
+
+    def hull_tests(check):
+        calls = []
+        original = HalfSpace.contains_hull
+        monkeypatch.setattr(HalfSpace, "contains_hull",
+                            lambda self, pts: calls.append(1)
+                            or original(self, pts))
+        out = check()
+        monkeypatch.undo()
+        return out, len(calls)
+
+    reports, tests_here = hull_tests(
+        lambda: _certify_grid(engine, rows, ts, 5))
+
+    def afresh():
+        out = []
+        for k, t in enumerate(ts):
+            column = [row[k] for row in rows]
+            ok, details = spec.check_map(grid, bake_on(grid, column),
+                                         rng=random.Random(5))
+            out.append({"t": str(t), "ok": ok, "details": details})
+        return out
+
+    want, tests_afresh = hull_tests(afresh)
+    assert reports == want
+    verdicts = [[d["ok"] for r in reports for d in r["details"]
+                 if d["constraint"] == i] for i in range(4)]
+    assert verdicts[0] == [True] * 5
+    assert verdicts[1] == verdicts[3] == [True, True, False, False, True]
+    assert {d["mode"] for r in reports for d in r["details"]
+            if d["constraint"] == 2} == {"sampled"}
+    assert tests_here < tests_afresh  # verdicts were reused

@@ -5,15 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from ascolim import linalg
-from ascolim.approximation import EngineConfig, ThetaEngine
+from ascolim import approximation, linalg
+from ascolim.approximation import (BoundTheta, EngineConfig, ThetaEngine,
+                                   bake_on)
 from ascolim.errors import ChartCoverError, InputError
 from ascolim.filtered_spaces import (AffineMap, FilteredSpaceModel,
                                      Filtration)
-from ascolim.geometry import Simplex
+from ascolim.geometry import Simplex, combine
 from ascolim.invariants import (ComponentModel, LoopModel,
                                 component_union_check, cyclic_vertex_order,
-                                injectivity_leg, pi0_report,
+                                injectivity_leg, loop_as_pl, pi0_report,
                                 pi1_directlimit_experiment,
                                 palais_experiment, polygon_domain,
                                 surjectivity_leg, winding_number)
@@ -128,20 +129,30 @@ def test_injectivity_leg_exact_operation_count(monkeypatch):
     # solves when it solved for them again), and a top binds a core only
     # where it meets that face in at least an edge, so the rank-2
     # sub-engine does not refine (640 tops, 138,105 hashes, 513
-    # inversions, 7,087 solves and 1,544 theta calls when a shared vertex
-    # bound it)
+    # inversions and 7,087 solves when a shared vertex bound it).  The
+    # grid check evaluates each grid vertex once for every slice and
+    # reuses the hull verdicts of tops whose values did not change: 328
+    # theta calls, 110 cone decompositions, 1,176 plane-complement hull
+    # tests, 1,297 solves and 53,292 hashes (1,384, 474, 1,504, 3,667 and
+    # 68,868 with one engine descent and one hull test per slice)
     model, sigma, tau = two_square_pair()
-    calls = {"__hash__": 0, "invert": 0, "barycentric": 0, "theta": 0}
+    calls = {"__hash__": 0, "invert": 0, "barycentric": 0, "theta": 0,
+             "cone_decomposition": 0, "contains_hull": 0}
     _count_calls(monkeypatch, calls, Fraction, "__hash__")
     _count_calls(monkeypatch, calls, linalg, "invert")
     _count_calls(monkeypatch, calls, Simplex, "barycentric")
     _count_calls(monkeypatch, calls, ThetaEngine, "theta")
+    _count_calls(monkeypatch, calls, approximation, "cone_decomposition")
+    _count_calls(monkeypatch, calls, CoordinatePlaneComplement,
+                 "contains_hull")
     leg = injectivity_leg(model, sigma, tau, FAST, u_levels=1)
     assert leg["endpoints_frozen"] and leg["grid_ok"] and leg["beta"] == 1
-    assert 0 < calls["__hash__"] <= 80_000
+    assert 0 < calls["__hash__"] <= 55_000
     assert 0 < calls["invert"] <= 100
-    assert 0 < calls["barycentric"] <= 4_000
-    assert 0 < calls["theta"] <= 1_400
+    assert 0 < calls["barycentric"] <= 1_400
+    assert 0 < calls["theta"] <= 340
+    assert 0 < calls["cone_decomposition"] <= 120
+    assert 0 < calls["contains_hull"] <= 1_200
     assert len(leg["record"].engine.sub.tree.final.tops()) == 80
 
 
@@ -169,6 +180,79 @@ def test_engine_frozen_keys_follow_the_roots_to_the_carrier():
     assert frozen[0] == 0 and frozen[1] > 0
 
 
+def _per_time_reference(record, gamma0, n, seed):
+    """The grid check as it was before the table: for each time ``t`` an
+    engine bound to ``g_t = (1 - t)*gamma0 + t*g_1`` (``g_1`` the start
+    map; ``g_t`` is the old push map, or ``gamma0`` when nothing was
+    pushed), evaluated at ``t`` vertex by vertex, baked and checked."""
+    engine = record.engine
+    grid = engine.grid_complex
+    columns, reports = [], []
+    for k in range(n + 1):
+        t = F(k, n)
+
+        def g_t(z, t=t):
+            return tuple((1 - t) * a + t * b
+                         for a, b in zip(gamma0(z), record.start_map(z)))
+
+        session = BoundTheta(engine, g_t)
+        column = [session(v, t) for v in grid.vertices()]
+        ok, details = engine.spec.check_map(grid, bake_on(grid, column),
+                                            rng=random.Random(seed))
+        columns.append(column)
+        reports.append({"t": str(t), "ok": ok, "details": details})
+    return columns, reports
+
+
+@pytest.mark.parametrize("case", ["pushed-loop", "two-square-prism"])
+def test_grid_table_equals_per_time_evaluation(case):
+    # every value of the homotopy at every grid vertex and slice, the
+    # endpoint bake and the slice reports equal the per-time path, on a
+    # leg with pushed anchors (the only check of the push identity, since
+    # no golden file pushes) and on the two-square prism pair; eight
+    # slices, so that the rank-3 prism engine has distinct late values
+    config = EngineConfig(max_subdivision=4, bake_level=1, t_grid=8,
+                          probe_per_cell=1)
+    if case == "pushed-loop":
+        model = plane_model(8, [(k, range(k)) for k in (2, 3, 4)])
+        verts = [list(v) for v in unit_square_loop(dim=8, reps=3).vertices]
+        for d, amount in ((5, F(1, 8)), (6, F(-1, 16)), (7, F(1, 32))):
+            verts[2][d] = amount
+            verts[6][d] = -amount
+        probe = LoopModel([tuple(v) for v in verts], axis=(0, 1))
+        leg = surjectivity_leg(model, probe, config)
+        assert leg["pushed"] == 2
+        gamma0 = loop_as_pl(probe)[1]
+    else:
+        model, sigma, tau = two_square_pair()
+        leg = injectivity_leg(model, sigma, tau, config, u_levels=1)
+        gamma0 = leg["record"].start_map
+    record = leg["record"]
+    n = config.t_grid
+    columns, reports = _per_time_reference(record, gamma0, n, config.seed)
+    assert record.grid_reports == reports
+    assert record.grid_ok
+    grid = record.engine.grid_complex
+    assert record.eta_baked.values == dict(zip(grid.vertices(), columns[-1]))
+    ts = tuple(F(k, n) for k in range(n + 1))
+    start = BoundTheta(record.engine, gamma0)
+    end = BoundTheta(record.engine, record.start_map)
+    for i, v in enumerate(grid.vertices()):
+        row = [column[i] for column in columns]
+        assert [record.homotopy(v, t) for t in ts] == row
+    # one descent for every time equals one per time, for each of the two
+    # bound maps, at the grid vertices and at a seeded point inside each
+    # final top (no grid vertex has a cone exit point to fill from)
+    rng = random.Random(3)
+    points = list(grid.vertices())
+    for top in record.engine.tree.final.tops():
+        w = [F(rng.randint(1, 9)) for _ in range(top.rank)]
+        points.append(combine(top.vertices, [c / sum(w) for c in w]))
+    for x in points:
+        assert start.values(x, ts) == tuple(start(x, t) for t in ts)
+        assert end.values(x, ts) == tuple(end(x, t) for t in ts)
+
+
 def test_injectivity_leg_rejects_unequal_winding():
     model = plane_model(4, [(1, {0, 1}), (2, {0, 1, 2, 3})])
     sigma = unit_square_loop(dim=4)
@@ -192,11 +276,11 @@ def test_surjectivity_leg_exact_solve_count(monkeypatch):
     # machine-independent budget on the README's square model with default
     # settings: the engine reuses the coordinates point location found, so
     # it needs 157 exact barycentric solves (2029 when it solved again for
-    # the branch and the cone decomposition); memoized PL values need 1260
-    # complex locates (1560 without); one gamma value per top serves every
-    # slice's anchor, so the engine is evaluated 1560 times (1860 with one
-    # anchor evaluation per slice); values are computed in model
-    # coordinates, with no affine chart map applied
+    # the branch and the cone decomposition); one engine descent per grid
+    # vertex serves all 51 slices, so the engine is evaluated 36 times and
+    # the PL map makes 36 complex locates (1560 and 1260 with one descent
+    # per slice, 1860 with one anchor evaluation per slice); values are
+    # computed in model coordinates, with no affine chart map applied
     model = plane_model(8, [(2, {0, 1}), (4, {0, 1, 2, 3})])
     probe = unit_square_loop(dim=8, reps=3)
     calls = {"barycentric": 0, "locate": 0, "theta": 0, "__call__": 0}
@@ -208,8 +292,8 @@ def test_surjectivity_leg_exact_solve_count(monkeypatch):
     assert leg["winding_before"] == leg["winding_after"] == 3
     assert leg["beta"] == 2 and leg["grid_ok"]
     assert 0 < calls["barycentric"] <= 200
-    assert 0 < calls["locate"] <= 1300
-    assert 0 < calls["theta"] <= 1600
+    assert 0 < calls["locate"] <= 40
+    assert 0 < calls["theta"] <= 40
     assert calls["__call__"] == 0
 
 

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from ascolim.geometry import Simplex
 from ascolim.plmaps import PLMap
 from ascolim.simplicial import SimplicialComplex, barycentric_subdivide
@@ -52,3 +54,14 @@ def test_value_on_shared_faces_is_the_face_combination():
         assert memoized(x) == want  # read back from the memo
         assert PLMap(cx, values)(x) == want
     assert shared > 20
+
+
+def test_values_in_vertex_order_give_the_same_map():
+    rng = random.Random(5)
+    cx = barycentric_subdivide(SimplicialComplex(
+        [Simplex([(0, 0), (2, 0), (0, 2)])]))
+    values = _random_map(rng, cx)
+    column = [values[v] for v in cx.vertices()]
+    assert PLMap(cx, column).values == PLMap(cx, values).values
+    with pytest.raises(ValueError):
+        PLMap(cx, column[:-1])
