@@ -30,10 +30,10 @@ from ascolim.geometry import (Outside, Simplex, affine_lipschitz_sq_bound,
                               combine, sqdist, sqdist_point_simplex)
 from ascolim.plmaps import FuncMap, PLMap, as_evaluator
 from ascolim.rats import RAT, to_rat
-from ascolim.regions import (CoordinatePlaneComplement, FullSpace, HalfSpace,
-                             Intersection, OpenBall, Region, Translate,
-                             region_subset)
-from ascolim.simplicial import SubdividedComplex
+from ascolim.regions import (ClosedBall, CoordinatePlaneComplement,
+                             FullSpace, HalfSpace, Intersection, OpenBall,
+                             Region, Translate, region_subset)
+from ascolim.simplicial import SubdividedComplex, relative_volumes
 
 
 #: dyadic halvings tried for chart radii and for the anchor push radius
@@ -180,20 +180,19 @@ def _check_constraint(complex_, fn, con, rng, samples, index, verdicts):
     ``index`` in its spec.
 
     Only the image of K matters, so the cell-image check runs over the
-    cells of the complex contained in K; when K is finer than every cell
-    (a single vertex, an unrefined simplex) it runs on K itself.
-    ``verdicts`` is None or ``(reused, ids)`` from ``_certify_grid``; K
-    itself has no ``ids``, so its verdicts are never reused.
+    cells ``_subset_cells`` gives.  ``verdicts`` is None or ``(reused,
+    ids)`` from ``_certify_grid``; only grid tops have ``ids``, so the
+    verdicts of other cells are never reused.
     """
     if isinstance(con.subset, CompactSample):
         return all(con.region.contains(fn(p))
                    for p in con.subset.points), "exact"
-    subset = con.subset
-    cells = complex_.tops() if subset == "all" else [
-        cell for cell in complex_.tops()
-        if all(subset.contains(v) for v in cell.vertices)] or [subset]
+    if con.subset == "all":
+        cells, affine = complex_.tops(), True
+    else:
+        cells, affine = _subset_cells(complex_, con.subset)
     reused, ids = verdicts or ({}, {})
-    hull_ok = _is_pl(fn)
+    hull_ok = affine and _is_pl(fn)
     exact = True
     for cell in cells:
         value_ids = ids.get(id(cell))
@@ -209,6 +208,26 @@ def _check_constraint(complex_, fn, con, rng, samples, index, verdicts):
             return False, "exact" if by_hull else "sampled"
         exact = exact and by_hull
     return True, "exact" if exact else "sampled"
+
+
+def _subset_cells(complex_, subset):
+    """The cells a ``Simplex`` subset K is checked on, and whether a PL map
+    on the complex is affine on each of them.
+
+    The simplices of the complex of K's rank inside K, when they cover K
+    (relative volumes summing to 1): a K the complex refines is checked
+    piece by piece.  Otherwise K itself, on which the map is affine when
+    one top of the complex holds all of K's vertices (a vertex, a K inside
+    one cell); on any other K the map may bend, so K is sampled.
+    """
+    pieces = sorted((s for s in complex_.simplices
+                     if s.rank == subset.rank
+                     and all(subset.contains(v) for v in s.vertices)),
+                    key=lambda s: sorted(s.vertices))
+    if pieces and sum(relative_volumes(subset, pieces)) == 1:
+        return pieces, True
+    return [subset], any(all(top.contains(v) for v in subset.vertices)
+                         for top in complex_.tops())
 
 
 def _random_weights(rng, k):
@@ -476,7 +495,8 @@ def _certify_grid(engine, rows, ts, seed):
     reused in a later slice whose values at the top's vertices are the
     very same objects (``rows`` holds them, so no id is reused): the hull
     test would get the same exact input and draws nothing from the rng.
-    Sampled verdicts and a constraint checked on its subset are not reused.
+    Sampled verdicts and those of cells other than grid tops are not
+    reused.
     """
     grid = engine.grid_complex
     order = {v: i for i, v in enumerate(grid.vertices())}
@@ -564,8 +584,9 @@ def _charts_fit(tree, gamma0, cell_regions, provider):
     images; ties break by least squared distance between the core centre
     and the barycenter image.  Returns ``(cores, None)``, or ``(None,
     cell)`` for the first cell with no admissible chart at this level.
+    Every core ``chart_at`` returns is convex, so its hull test decides
+    by the vertex images alone, whether or not ``gamma0`` is affine.
     """
-    hull_ok = _is_pl(gamma0)
     charts = {}
     for cell in tree.final.tops():
         region = cell_regions[cell.key]
@@ -577,9 +598,7 @@ def _charts_fit(tree, gamma0, cell_regions, provider):
                 core = provider.chart_at(q, region)
             except (ChartCoverError, ResolutionExceededError, InputError):
                 continue
-            fit = core.contains_hull(values) if hull_ok \
-                else all(core.contains(v) for v in values)
-            if fit is True:
+            if core.contains_hull(values) is True:
                 center = getattr(core, "center", None)
                 if center is None:
                     center = getattr(getattr(core, "parts", [None])[0],
@@ -799,6 +818,14 @@ def _epsilon_for(moved, engine, gamma0, relative):
 
 
 def _epsilon_ok(eps, moved, s_points, engine, gamma0, relative):
+    """Does the push radius ``eps`` keep each pushed anchor ``x`` clear of
+    the other anchors, the frozen carrier and the subsets of ``P`` it is
+    not in, and its image in its core?  Near ``x`` a base top with
+    Lipschitz bound ``L`` maps into the closed ball of radius ``eps * L``
+    around ``gamma0(x)``; ``_sqrt_upper`` rounds ``L`` up, so
+    ``region_subset`` certifies a ball holding that one.  ``L = 0`` (a
+    constant top) leaves the point test ``gamma0(x) in core``.
+    """
     eps_sq = eps * eps
     for (x, gx, core, v_x) in moved:
         for y in s_points:
@@ -820,43 +847,14 @@ def _epsilon_ok(eps, moved, s_points, engine, gamma0, relative):
             if isinstance(cell.barycentric(x), Outside):
                 continue
             values = [tuple(gamma0(v)) for v in cell.vertices]
-            l_sq = affine_lipschitz_sq_bound(cell, values)
-            if not _ball_in_region_sq(gx, eps_sq * l_sq, core):
+            r = eps * _sqrt_upper(affine_lipschitz_sq_bound(cell, values))
+            if r == 0:
+                inside = core.contains(gx)
+            else:
+                inside = region_subset(ClosedBall(gx, r), core) is True
+            if not inside:
                 return False
     return True
-
-
-def _ball_in_region_sq(center, radius_sq, region):
-    """Exact ``closed ball(center, sqrt(radius_sq)) ⊆ region`` for the
-    region kinds cores are built from (conservative where it rounds)."""
-    if isinstance(region, Intersection):
-        return all(_ball_in_region_sq(center, radius_sq, p)
-                   for p in region.parts)
-    if isinstance(region, FullSpace):
-        return True
-    if radius_sq == 0:
-        return region.contains(center)
-    if isinstance(region, OpenBall):
-        margin_sq = sqdist(center, region.center)
-        rad = region.radius
-        if margin_sq >= rad * rad:
-            return False
-        u = _sqrt_upper(margin_sq)
-        if u > rad:
-            return False
-        lower = rad * rad + margin_sq - 2 * rad * u  # <= (rad - |c-c0|)^2
-        return radius_sq < lower
-    if isinstance(region, HalfSpace):
-        margin = sum(n * c for n, c in zip(region.normal, center)) \
-            - region.offset
-        if margin <= 0:
-            return False
-        nn = sum(n * n for n in region.normal)
-        return radius_sq * nn < margin * margin
-    if isinstance(region, CoordinatePlaneComplement):
-        ci, cj = center[region.i], center[region.j]
-        return radius_sq < ci * ci + cj * cj
-    return False
 
 
 def _sqrt_upper(value):

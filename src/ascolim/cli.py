@@ -248,8 +248,6 @@ def build_parser():
     parser.add_argument("--max-subdivision", type=int, default=8)
     parser.add_argument("--version", action="store_true",
                         help="print version and kernel backend")
-    parser.add_argument("--schema", action="store_true",
-                        help="print every input/output schema and exit")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("schema", help="print input/output schemas")
@@ -315,10 +313,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.version:
         print(f"ascolim {__version__} (kernels: {KERNEL_BACKEND})")
-        return 0
-    if args.schema and not getattr(args, "fn", None):
-        for name in sorted(ser.SCHEMAS):
-            print(f"{name}: {ser.SCHEMAS[name]}")
         return 0
     if not getattr(args, "fn", None):
         parser.print_help()

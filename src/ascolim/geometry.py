@@ -8,7 +8,6 @@ given.  A simplex stores its vertices in construction order and owns a
 cached exact solver for barycentric coordinates.
 """
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -284,22 +283,3 @@ def affine_lipschitz_sq_bound(simplex, values):
     inv = linalg.invert(gram)
     return sum(sum(inv[i][j] * gtg[j][i] for j in range(k))
                for i in range(k))
-
-
-def diameter(simplex, norm="euclidean"):
-    """Diameter of the simplex under the chosen norm, as a float.
-
-    For a convex norm this equals the max pairwise vertex distance.  Use
-    ``diameter_sq`` when the exact squared euclidean value is needed.
-    """
-    if norm == "euclidean":
-        return math.sqrt(diameter_sq(simplex))
-    if norm == "max":
-        best = 0
-        for i in range(simplex.rank):
-            for j in range(i + 1, simplex.rank):
-                d = max(abs(a - b) for a, b in
-                        zip(simplex.vertices[i], simplex.vertices[j]))
-                best = max(best, d)
-        return float(best)
-    raise InputError(f"unsupported norm {norm!r}")

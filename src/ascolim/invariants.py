@@ -27,7 +27,8 @@ from ascolim.errors import InputError
 from ascolim.geometry import Simplex, as_point
 from ascolim.plmaps import PLMap
 from ascolim.rats import RAT, scale_common, to_rat
-from ascolim.simplicial import SimplicialComplex, SubcomplexCarrier
+from ascolim.simplicial import (SimplicialComplex, SubcomplexCarrier,
+                                triangulate_prism)
 
 
 @dataclass
@@ -418,24 +419,6 @@ def annulus_homotopy_values(sigma, tau, axis, u_levels, den=2 ** 20):
     return rows
 
 
-def stacked_prism(cx, levels):
-    """Triangulated ``|cx| x [0,1]`` with ``levels`` stacked prisms."""
-    from ascolim.simplicial import _staircase
-    cells = []
-    for l in range(levels):
-        lo = RAT(l, levels)
-        hi = RAT(l + 1, levels)
-        for top in cx.tops():
-            for cell in _staircase(top, order_key=tuple):
-                # re-lift the unit staircase onto [lo, hi]
-                verts = []
-                for v in cell.vertices:
-                    base, t = v[:-1], v[-1]
-                    verts.append(tuple(base) + (lo + t * (hi - lo),))
-                cells.append(Simplex.trusted(verts))
-    return SimplicialComplex(cells)
-
-
 def injectivity_leg(model, sigma, tau, config=None, u_levels=4):
     """Step-level homotopy between two equal-winding step loops.
 
@@ -455,7 +438,7 @@ def injectivity_leg(model, sigma, tau, config=None, u_levels=4):
 
     cx, dom_pts = polygon_domain(len(sigma.vertices))
     rows = annulus_homotopy_values(sigma, tau, axis, u_levels)
-    prism = stacked_prism(cx, u_levels)
+    prism = triangulate_prism(cx, levels=u_levels)
     values = {}
     for l in range(u_levels + 1):
         u = RAT(l, u_levels)

@@ -4,7 +4,7 @@ Scalars are exact rationals and serialize as ``"p/q"`` strings (plain
 ``"p"`` when integral); a reader also takes JSON integers, and rejects
 floats and malformed strings with ``InputError``.  Complexes use a vertex
 table plus index tuples.
-``SCHEMAS`` documents each format; the CLI prints them on ``--schema``.
+``SCHEMAS`` documents each format; the CLI's ``schema`` command prints them.
 """
 
 import json

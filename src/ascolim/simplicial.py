@@ -403,35 +403,36 @@ def _lift(v, t):
     return tuple(v) + (RAT(t),)
 
 
-def _staircase(simplex, order_key):
-    """Kuhn staircase cells of ``simplex x [0,1]`` under a global order."""
-    vs = sorted(simplex.vertices, key=order_key)
-    k = len(vs)
+def _staircase(simplex, lo=0, hi=1):
+    """Kuhn staircase cells of ``simplex x [lo, hi]`` under the global
+    lexicographic vertex order."""
+    vs = sorted(simplex.vertices)
     cells = []
-    for j in range(k):
-        verts = [_lift(v, 0) for v in vs[:j + 1]] + \
-                [_lift(v, 1) for v in vs[j:]]
+    for j in range(len(vs)):
+        verts = [_lift(v, lo) for v in vs[:j + 1]] + \
+                [_lift(v, hi) for v in vs[j:]]
         cells.append(Simplex.trusted(verts))
     return cells
 
 
-def triangulate_prism(complex_, aligned=()):
+def triangulate_prism(complex_, levels=1, aligned=()):
     """Triangulate ``|Σ| x [0,1]`` consistently across shared faces.
 
-    Staircase triangulation of each top prism under the global
-    lexicographic vertex order, so the cells over a shared face agree and
-    ``C x [0,1]`` is a union of cells for every aligned carrier ``C`` (as
-    are the two end copies of ``|Σ|``).
+    Stacks ``levels`` prisms: level ``l`` is the staircase triangulation
+    of each top prism over ``[l/levels, (l+1)/levels]`` under the global
+    lexicographic vertex order, so the cells over a shared face agree,
+    neighbouring levels meet in a copy of ``|Σ|``, and ``C x [0,1]`` is a
+    union of cells for every aligned carrier ``C``.  The two end copies
+    of ``|Σ|`` are faces of the staircase cells, added by face closure.
     """
     for car in aligned:
         if car.parent is not complex_:
             raise InputError("aligned carrier of a different complex")
     cells = []
-    for top in complex_.tops():
-        cells.extend(_staircase(top, order_key=tuple))
-    ends = [Simplex.trusted([_lift(v, t) for v in s.vertices])
-            for s in complex_.tops() for t in (0, 1)]
-    return SimplicialComplex(cells + ends)
+    for l in range(levels):
+        for top in complex_.tops():
+            cells.extend(_staircase(top, RAT(l, levels), RAT(l + 1, levels)))
+    return SimplicialComplex(cells)
 
 
 def prism_end_carrier(prism, base, t):
@@ -441,12 +442,9 @@ def prism_end_carrier(prism, base, t):
 
 
 def prism_over_carrier(prism, carrier):
-    """Carrier of ``C x [0,1]`` inside a prism triangulation."""
-    sel = []
-    for s in carrier.tops():
-        sel.extend(_staircase(s, order_key=tuple))
-        sel.append(Simplex([_lift(v, 0) for v in s.vertices]))
-        sel.append(Simplex([_lift(v, 1) for v in s.vertices]))
+    """Carrier of ``C x [0,1]`` inside a one-level prism triangulation;
+    the end copies of ``C`` are faces of its staircase cells."""
+    sel = [cell for s in carrier.tops() for cell in _staircase(s)]
     return SubcomplexCarrier(prism, sel)
 
 

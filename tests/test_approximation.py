@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from ascolim import approximation
 from ascolim.approximation import (BoundTheta, Constraint, EngineConfig,
                                    NeighborhoodSpec, SamplingPlan,
                                    _cell_regions_for, _certify_grid,
@@ -23,7 +24,7 @@ from ascolim.plmaps import PLMap
 from ascolim.regions import (CoordinatePlaneComplement, FullSpace,
                              HalfSpace, Intersection, OpenBall, Union)
 from ascolim.simplicial import (SimplicialComplex, SubcomplexCarrier,
-                                SubdividedComplex)
+                                SubdividedComplex, barycentric_subdivide)
 
 F = Fraction
 
@@ -366,8 +367,8 @@ def test_check_map_sample_and_single_vertex_constraints():
         CompactSample(((1, 1), (-1, -1))), upper)])
     assert bad.check_map(cx, gamma) == (False, [
         {"constraint": 0, "ok": False, "mode": "exact"}])
-    # no edge of the square fits inside one vertex, so the vertex itself
-    # is checked: its image (-1, -1, 0, 0) is below the plane x_1 = 0
+    # a vertex constraint is checked on the vertex of the complex it
+    # names: its image (-1, -1, 0, 0) is below the plane x_1 = 0
     vertex = Simplex([(-1, -1)])
     assert NeighborhoodSpec([Constraint(vertex, upper)]).check_map(
         cx, gamma) == (False, [{"constraint": 0, "ok": False,
@@ -375,6 +376,91 @@ def test_check_map_sample_and_single_vertex_constraints():
     lower = HalfSpace((0, -1, 0, 0), 0)
     assert NeighborhoodSpec([Constraint(vertex, lower)]).check_map(
         cx, gamma)[0] is True
+
+
+def test_face_constraint_on_a_refined_complex_checks_its_pieces():
+    # the identity on bsd of a triangle, except that the midpoint of the
+    # bottom edge goes to (1/2, -1): the map is not affine on that edge,
+    # so its two pieces are hull-tested and the bent one fails
+    tri = SimplicialComplex([Simplex([(0, 0), (1, 0), (0, 1)])])
+    sub = barycentric_subdivide(tri)
+    values = {v: tuple(F(c) for c in v) for v in sub.vertices()}
+    values[(F(1, 2), F(0))] = (F(1, 2), F(-1))
+    gamma = PLMap(sub, values)
+    above = HalfSpace((0, 1), F(-1, 2))           # x_1 > -1/2
+    edge = Simplex([(0, 0), (1, 0)])
+    assert NeighborhoodSpec([Constraint(edge, above)]).check_map(
+        sub, gamma) == (False, [{"constraint": 0, "ok": False,
+                                 "mode": "exact"}])
+    # an edge inside one top of the complex is affine there: the hull
+    # test on its own vertices decides
+    inner = Simplex([(F(1, 8), F(1, 8)), (F(1, 4), F(1, 8))])
+    assert NeighborhoodSpec([Constraint(inner, above)]).check_map(
+        sub, gamma) == (True, [{"constraint": 0, "ok": True,
+                                "mode": "exact"}])
+    # an edge across several tops and covered by none of the complex's
+    # edges may bend anywhere: it is sampled
+    across = Simplex([(F(1, 8), F(1, 8)), (F(3, 4), F(1, 8))])
+    low = HalfSpace((0, 1), -2)                   # x_1 > -2
+    assert NeighborhoodSpec([Constraint(across, low)]).check_map(
+        sub, gamma) == (True, [{"constraint": 0, "ok": True,
+                                "mode": "sampled"}])
+    # an edge whose first half is an edge of the complex and whose second
+    # half runs inside two triangles: the first half alone does not cover
+    # it, so it is sampled, and the bent image of (2, 0) is found
+    fan = SimplicialComplex([Simplex([(0, 0), (1, 0), (0, 1)]),
+                             Simplex([(1, 0), (1, 1), (3, 0)]),
+                             Simplex([(1, 0), (1, -1), (3, 0)])])
+    values = {v: tuple(F(c) for c in v) for v in fan.vertices()}
+    values[(3, 0)] = (F(3), F(-4))
+    longer = Simplex([(0, 0), (2, 0)])
+    assert NeighborhoodSpec([Constraint(longer, above)]).check_map(
+        fan, PLMap(fan, values)) == (False, [{"constraint": 0, "ok": False,
+                                              "mode": "sampled"}])
+
+
+def test_grid_check_hull_tests_the_pieces_of_an_edge_constraint(
+        monkeypatch):
+    # an edge constraint on a triangle patch: the grid refines the edge
+    # into two pieces, and each slice hull-tests both pieces' images
+    tri = SimplicialComplex([Simplex([(0, 0), (2, 0), (0, 2)])])
+    patch = PLMap(tri, {(0, 0): (F(1), F(0), F(0), F(0)),
+                        (2, 0): (F(3), F(1), F(0), F(0)),
+                        (0, 2): (F(1), F(2), F(1, 2), F(0))})
+    model = plane_model()
+    edge = Simplex([(0, 0), (2, 0)])
+    right = HalfSpace((1, 0, 0, 0), F(1, 2))      # x_0 > 1/2
+    spec = NeighborhoodSpec([Constraint("all", model.carrier),
+                             Constraint(edge, right)])
+    tested = []
+    in_grid_check = []
+    certify = approximation._certify_grid
+    hull = HalfSpace.contains_hull
+
+    def certify_counting(*args):
+        in_grid_check.append(True)
+        return certify(*args)
+
+    def hull_counting(self, points):
+        if in_grid_check and self is right:
+            tested.append(frozenset(points))
+        return hull(self, points)
+
+    monkeypatch.setattr(approximation, "_certify_grid", certify_counting)
+    monkeypatch.setattr(HalfSpace, "contains_hull", hull_counting)
+    record = individual_approximation(tri, patch, spec, None, model,
+                                      alpha=1, config=CONFIG)
+    assert record.grid_ok
+    assert all(r["details"][1] == {"constraint": 1, "ok": True,
+                                   "mode": "exact"}
+               for r in record.grid_reports)
+    grid = record.engine.grid_complex
+    pieces = [s for s in grid.simplices
+              if s.rank == 2 and all(edge.contains(v) for v in s.vertices)]
+    assert len(pieces) == 2
+    assert len(tested) == len(pieces) * len(record.grid_reports)
+    assert set(tested[:2]) == {frozenset(tuple(patch(v)) for v in p.vertices)
+                               for p in pieces}
 
 
 def test_constraint_rejects_other_subset_kinds():
@@ -533,3 +619,49 @@ def test_grid_check_reuses_hull_verdicts_only_where_sound(monkeypatch):
     assert {d["mode"] for r in reports for d in r["details"]
             if d["constraint"] == 2} == {"sampled"}
     assert tests_here < tests_afresh  # verdicts were reused
+
+
+QUADRANT = Intersection([HalfSpace((1, 0), 0), HalfSpace((0, 1), 0)])
+PUSH_BALL_CASES = [
+    # core, centre, radius, verdict for the closed ball: inside, tangent
+    # to the boundary, reaching past it
+    (FullSpace(2), (1, 1), 100, True),
+    (QUADRANT, (1, 1), F(1, 2), True),
+    (QUADRANT, (1, 1), 1, False),
+    (QUADRANT, (1, 1), 2, False),
+    (OpenBall((F(1), F(0)), 2), (1, 1), F(1, 2), True),
+    (OpenBall((F(1), F(0)), 2), (1, 1), 1, False),
+    (OpenBall((F(1), F(0)), 2), (1, 1), 3, False),
+    (HalfSpace((1, 0), 0), (1, 1), F(1, 2), True),
+    (HalfSpace((1, 0), 0), (1, 1), 1, False),
+    (HalfSpace((1, 0), 0, strict=False), (1, 1), 1, True),
+    (HalfSpace((1, 0), 0, strict=False), (1, 1), 2, False),
+    (CoordinatePlaneComplement(2, 0, 1), (1, 0), F(1, 2), True),
+    (CoordinatePlaneComplement(2, 0, 1), (1, 0), 1, False),
+    (CoordinatePlaneComplement(2, 0, 1), (1, 0), 2, False),
+    # a map constant near the anchor: the point test alone
+    (HalfSpace((1, 0), 1, strict=False), (1, 1), 0, True),
+    (HalfSpace((1, 0), 1), (1, 1), 0, False),
+    (CoordinatePlaneComplement(2, 0, 1), (1, 0), 0, True),
+    (OpenBall((F(3), F(1)), 2), (1, 1), 0, False),
+]
+
+
+@pytest.mark.parametrize("core, center, radius, inside", PUSH_BALL_CASES)
+def test_push_radius_decides_the_closed_ball_in_the_core(core, center,
+                                                         radius, inside):
+    # one pushed anchor x = 0 of a base segment whose map has slope 1
+    # (Lipschitz bound exactly 1), or slope 0 for radius 0: at eps the
+    # only condition left is the closed ball of radius eps around
+    # gamma0(x) = center inside the core
+    seg = Simplex([(0,), (1,)])
+    gx = tuple(F(c) for c in center)
+    far = (gx[0] + (1 if radius else 0), gx[1])
+    gamma = PLMap(SimplicialComplex([seg]), {(0,): gx, (1,): far})
+    engine = SimpleNamespace(
+        P=NeighborhoodSpec([]),
+        tree=SimpleNamespace(base=SimplicialComplex([seg])))
+    moved = [((0,), gx, core, None)]
+    eps = F(radius or 1)
+    assert approximation._epsilon_ok(eps, moved, [(0,)], engine, gamma,
+                                     None) is inside

@@ -4,7 +4,6 @@ Derived expectations are computed by independent means inside the tests
 (hand-solved affine systems, brute-force pairwise scans) and frozen.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -13,7 +12,7 @@ import pytest
 from ascolim.errors import InputError
 from ascolim.filtered_spaces import CompactSample
 from ascolim.geometry import (Outside, Simplex, as_point, combine,
-                              diameter, diameter_sq, sqdist)
+                              diameter_sq, sqdist)
 from ascolim.plmaps import PLMap
 from ascolim.rats import RAT, to_rat
 from ascolim.regions import HalfSpace, OpenBall
@@ -63,23 +62,9 @@ def test_degenerate_vertices_rejected():
         Simplex([(0, 0), (0, 0)])
 
 
-def test_diameter_unit_interval():
-    assert diameter(Simplex([(0,), (1,)])) == 1.0
-
-
 def test_diameter_triangle_is_sqrt2():
     tri = Simplex([(0, 0), (1, 0), (0, 1)])
     assert diameter_sq(tri) == 2
-    assert diameter(tri) == pytest.approx(math.sqrt(2))
-
-
-def test_diameter_single_point():
-    assert diameter(Simplex([(5, 5)])) == 0.0
-
-
-def test_diameter_max_norm():
-    tri = Simplex([(0, 0), (1, 0), (0, 1)])
-    assert diameter(tri, norm="max") == 1.0
 
 
 def _random_rational(rng, den=8, span=4):

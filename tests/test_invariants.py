@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from ascolim import approximation, linalg
-from ascolim.approximation import (BoundTheta, EngineConfig, ThetaEngine,
-                                   bake_on)
+from ascolim.approximation import (BoundTheta, Constraint, EngineConfig,
+                                   NeighborhoodSpec, ThetaEngine, bake_on,
+                                   simultaneous_approximation)
 from ascolim.errors import ChartCoverError, InputError
 from ascolim.filtered_spaces import (AffineMap, FilteredSpaceModel,
                                      Filtration)
@@ -70,9 +71,10 @@ def plane_model(dim, chain):
     return FilteredSpaceModel(filt, CoordinatePlaneComplement(dim, 0, 1))
 
 
-def test_surjectivity_leg_projects_perturbed_loop():
-    # winding-3 loop in the (0,1) plane with a perturbation into the
-    # trailing coordinates of R^8, chain stopping at the first four
+def perturbed_winding_three():
+    """A winding-3 loop in the (0,1) plane with a perturbation into the
+    trailing coordinates of R^8, and the model of a chain stopping at the
+    first four coordinates."""
     model = plane_model(8, [(k, range(k)) for k in (2, 3, 4)])
     base = unit_square_loop(dim=8, reps=3)
     verts = [list(v) for v in base.vertices]
@@ -81,6 +83,11 @@ def test_surjectivity_leg_projects_perturbed_loop():
         verts[6][d] = -amount
     probe = LoopModel([tuple(v) for v in verts], axis=(0, 1),
                       label="w3-perturbed")
+    return model, probe
+
+
+def test_surjectivity_leg_projects_perturbed_loop():
+    model, probe = perturbed_winding_three()
     leg = surjectivity_leg(model, probe, FAST)
     assert leg["winding_before"] == 3
     assert leg["winding_after"] == 3
@@ -88,6 +95,25 @@ def test_surjectivity_leg_projects_perturbed_loop():
     assert leg["pushed"] == 2
     assert leg["beta"] == 2  # values project back into the plane step
     assert leg["grid_ok"]
+
+
+def test_push_radius_of_the_perturbed_loop():
+    # the two perturbed corners are pushed onto the plane step; the push
+    # radius is the first dyadic one whose Lipschitz balls around their
+    # images fit inside their cores (pinned: a change to the ball test
+    # that moved it would change every pushed endpoint)
+    model, probe = perturbed_winding_three()
+    cx, gamma, base = loop_as_pl(probe)
+    spec = NeighborhoodSpec([Constraint("all", model.carrier)])
+    _, _, engine = simultaneous_approximation(cx, gamma, spec, base, model,
+                                              FAST)
+    moved = approximation._push_targets(engine, gamma, model)
+    assert len(moved) == 2
+    eps = approximation._epsilon_for(moved, engine, gamma, base)
+    assert eps == F(1, 8)
+    assert not approximation._epsilon_ok(2 * eps, moved,
+                                         [tuple(p) for p in engine.S],
+                                         engine, gamma, base)
 
 
 def test_surjectivity_leg_frozen_probe_is_noop():

@@ -297,6 +297,28 @@ def test_prism_consistency_across_shared_faces():
         assert bottom.contains_simplex(lifted)
 
 
+def test_prism_levels_stack_unit_prisms():
+    # three levels are three unit prisms moved onto [l/3, (l+1)/3], cell
+    # for cell and in the same vertex order; neighbouring levels meet in
+    # a copy of |cx|, and every copy (both ends included, by face
+    # closure) is a carrier of the prism, at one level and at three
+    cx = SimplicialComplex([UNIT_TRIANGLE])
+    unit = triangulate_prism(cx)
+    stacked = triangulate_prism(cx, levels=3)
+    want = {tuple(v[:-1] + ((l + v[-1]) / 3,) for v in cell.vertices)
+            for l in range(3) for cell in unit.tops()}
+    assert {cell.vertices for cell in stacked.tops()} == want
+    assert len(want) == 3 * len(unit.tops()) == 9
+    assert stacked.validate()
+    for prism, levels in ((unit, 1), (stacked, 3)):
+        for l in range(levels + 1):
+            t = F(l, levels)
+            copy = prism_end_carrier(prism, cx, t)
+            for s in cx.tops():
+                lifted = Simplex([tuple(v) + (t,) for v in s.vertices])
+                assert lifted in prism and copy.contains_simplex(lifted)
+
+
 def test_carrier_invariant_union_of_contained_members():
     a = Simplex([(0, 0), (1, 0), (0, 1)])
     b = Simplex([(1, 0), (0, 1), (1, 1)])
