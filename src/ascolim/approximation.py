@@ -181,17 +181,19 @@ def _check_constraint(complex_, fn, con, rng, samples, index, verdicts):
 
     Only the image of K matters, so the cell-image check runs over the
     cells ``_subset_cells`` gives.  ``verdicts`` is None or ``(reused,
-    ids)`` from ``_certify_grid``; only grid tops have ``ids``, so the
-    verdicts of other cells are never reused.
+    ids, subsets)`` from ``_certify_grid``; only grid tops have ``ids``,
+    so the verdicts of other cells are never reused, and ``subsets``
+    keeps each constraint's cells for the next slice.
     """
     if isinstance(con.subset, CompactSample):
         return all(con.region.contains(fn(p))
                    for p in con.subset.points), "exact"
+    reused, ids, subsets = verdicts or ({}, {}, {})
     if con.subset == "all":
-        cells, affine = complex_.tops(), True
-    else:
-        cells, affine = _subset_cells(complex_, con.subset)
-    reused, ids = verdicts or ({}, {})
+        subsets[index] = complex_.tops(), True
+    elif index not in subsets:
+        subsets[index] = _subset_cells(complex_, con.subset)
+    cells, affine = subsets[index]
     hull_ok = affine and _is_pl(fn)
     exact = True
     for cell in cells:
@@ -496,20 +498,20 @@ def _certify_grid(engine, rows, ts, seed):
     very same objects (``rows`` holds them, so no id is reused): the hull
     test would get the same exact input and draws nothing from the rng.
     Sampled verdicts and those of cells other than grid tops are not
-    reused.
+    reused.  A face constraint's cells are found once for all slices.
     """
     grid = engine.grid_complex
     order = {v: i for i, v in enumerate(grid.vertices())}
     tops = [(id(top), [order[v] for v in top.vertices])
             for top in grid.tops()]
-    reused = {}
+    reused, subsets = {}, {}
     reports = []
     for k, t in enumerate(ts):
         column = [row[k] for row in rows]
         ids = {top: tuple(id(column[i]) for i in at) for top, at in tops}
         ok, details = engine.spec.check_map(
             grid, bake_on(grid, column), rng=random.Random(seed),
-            _verdicts=(reused, ids))
+            _verdicts=(reused, ids, subsets))
         reports.append({"t": str(t), "ok": ok, "details": details})
     return reports
 

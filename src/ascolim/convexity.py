@@ -3,9 +3,10 @@
 ``conv_n(Y)`` is the set of combinations ``t_1 y_1 + ... + t_n y_n`` with
 nonnegative coefficients summing to one; ``conv_2(X, Y)`` the segments
 ``t x + (1-t) y``.  Membership is decided exactly by one call per
-question to ``linalg.solve_nonneg``, which enumerates small supports of a
-rational feasibility system; every positive answer carries a certificate
-that is re-verified by plain arithmetic before it is returned.
+question to ``linalg.solve_nonneg``; every positive answer carries a
+certificate that is re-verified by plain arithmetic before it is
+returned.  ``hull_contains``, the independent full-hull oracle, runs on
+integer coordinates by fraction-free elimination.
 """
 
 from dataclasses import dataclass
@@ -13,8 +14,8 @@ from itertools import combinations
 
 from ascolim import linalg
 from ascolim.errors import CertificateError, InputError
-from ascolim.geometry import as_point, combine, vsub
-from ascolim.rats import RAT
+from ascolim.geometry import as_point, combine, dot, vsub
+from ascolim.rats import RAT, scale_common
 
 
 class FinitePointSet:
@@ -200,56 +201,55 @@ def hull_contains(point_set, x):
     Independent of the feasibility route above: ``x`` is outside the hull
     iff some hyperplane spanned by points of ``Y`` (within their affine
     hull) strictly separates it, or ``x`` leaves the affine hull entirely.
+    Scaling the points and ``x`` by their common denominator moves no
+    point across a hyperplane, so the basis and each normal are integer.
     """
     if not isinstance(point_set, FinitePointSet):
         point_set = FinitePointSet(point_set)
     x = as_point(x)
-    pts = point_set.points
-    base = pts[0]
-    rows = [list(vsub(q, base)) for q in pts[1:]]
     dim = point_set.dim
-    reduced, pivots = linalg.row_reduce(rows)
-    hull_rank = len(pivots)
-    basis = reduced[:hull_rank]
-    if hull_rank == 0:
-        return tuple(x) == tuple(base)
-    res = linalg.solve([[r[d] for r in rows] for d in range(dim)],
-                       list(vsub(x, base)))
-    if res is None:
-        return False
-    # enumerate candidate facet hyperplanes through hull_rank points
-    for support in combinations(range(len(pts)), hull_rank):
+    if len(x) != dim:
+        raise InputError("probe point of wrong dimension")
+    nums = scale_common([c for q in point_set.points + [x] for c in q])[0]
+    *pts, x = [nums[i:i + dim] for i in range(0, len(nums), dim)]
+    base = pts[0]
+    basis = [vsub(q, base) for q in pts[1:]]
+    pivots, det = linalg.fraction_free(basis, dim)
+    del basis[len(pivots):]
+    if not basis:
+        return x == base
+    off = vsub(x, base)  # the basis is det times its reduced echelon form
+    if any(det * off[d] != sum(off[c] * b[d] for c, b in zip(pivots, basis))
+           for d in range(dim)):
+        return False  # x leaves the affine hull
+    # enumerate candidate facet hyperplanes through len(basis) points
+    for support in combinations(range(len(pts)), len(basis)):
         anchor = pts[support[0]]
         span = [vsub(pts[i], anchor) for i in support[1:]]
         normal = _normal_in_hull(span, basis, dim)
         if normal is None:
             continue
-        side_x = sum(n * c for n, c in zip(normal, vsub(x, anchor)))
+        level = dot(normal, anchor)
+        side_x = dot(normal, x) - level
         if side_x == 0:
             continue
-        sides = [sum(n * c for n, c in zip(normal, vsub(q, anchor)))
-                 for q in pts]
-        if all(s * side_x <= 0 for s in sides):
+        if all((dot(normal, q) - level) * side_x <= 0 for q in pts):
             return False  # strictly separated
     return True
 
 
 def _normal_in_hull(span, basis, dim):
-    """A vector in the affine-hull direction space, spanned by the
-    nonempty ``basis``, orthogonal to ``span``."""
+    """An integer vector in the span of the nonempty integer ``basis``,
+    orthogonal to ``span``, or None; a multiple of the rational one."""
     # normal = sum(a_j * basis_j) with normal . s == 0 for each s in span
-    mat = [[sum(b[d] * s[d] for d in range(dim)) for b in basis]
-           for s in span]
-    if not mat:
-        mat = [[RAT(0)] * len(basis)]
-    red, piv = linalg.row_reduce(mat)
-    free = [j for j in range(len(basis)) if j not in piv]
-    if not free:
+    mat = [[dot(b, s) for b in basis] for s in span]
+    pivots, det = linalg.fraction_free(mat, len(basis))
+    j0 = next((j for j in range(len(basis)) if j not in pivots), None)
+    if j0 is None:
         return None
-    j0 = free[0]
-    coeff = [RAT(0)] * len(basis)
-    coeff[j0] = RAT(1)
-    for i, c in enumerate(piv):
-        coeff[c] = -red[i][j0]
-    return tuple(sum(coeff[j] * basis[j][d] for j in range(len(basis)))
+    coeff = [0] * len(basis)
+    coeff[j0] = det
+    for row, c in zip(mat, pivots):
+        coeff[c] = -row[j0]
+    return tuple(sum(a * b[d] for a, b in zip(coeff, basis))
                  for d in range(dim))

@@ -3,13 +3,12 @@
 Everything here is desk-scale (matrices of a handful of rows/columns).
 ``row_reduce``, ``solve`` and ``invert`` use Gauss-Jordan elimination with
 exact scalars.  ``solve_nonneg``, the one nonnegative-feasibility routine
-every caller shares, scales rows to integers once and solves each column
-support by fraction-free elimination (Bareiss 1968), so it builds exact
-rationals only for the solution it returns.  ``abs_det`` takes integer
-determinants by the same elimination.
+every caller shares, scales rows to integers once and walks the column
+supports depth first by fraction-free elimination (Bareiss 1968), so
+supports that share a prefix share its elimination and exact rationals
+are built only for the solution returned.  ``fraction_free`` and
+``abs_det`` run the same elimination step.
 """
-
-from itertools import combinations
 
 from ascolim.rats import RAT, scale_common
 
@@ -83,39 +82,43 @@ def invert(mat):
     return [row[n:] for row in red]
 
 
-def _integer_rows(mat, rhs):
-    """Rows of ``[mat | rhs]`` scaled by the lcm of their denominators."""
-    return [scale_common((*row, b))[0] for row, b in zip(mat, rhs)]
+def _pivot_step(m, r, c, det):
+    """One fraction-free Gauss-Jordan step on integer rows ``m``: pivot
+    on column ``c`` at the first row from ``r`` on that is nonzero there,
+    after the pivot ``det``.  Divisions are exact, as each entry stays a
+    minor of the input.  Returns the pivot, or 0 if ``c`` has none.  Rows
+    are replaced, not changed, so a copy of ``m`` keeps the old tableau.
+    """
+    pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+    if pr is None:
+        return 0
+    m[r], m[pr] = m[pr], m[r]
+    piv = m[r]
+    p = piv[c]
+    for i, row in enumerate(m):
+        if i != r:
+            f = row[c]
+            m[i] = [(p * a - f * b) // det for a, b in zip(row, piv)]
+    return p
 
 
-def _fraction_free(m, ncols):
+def fraction_free(m, ncols):
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
-    Eliminates over the first ``ncols`` columns of ``m`` (later columns are
-    carried along), skipping columns without a pivot.  Every division is
-    exact, since each entry stays a minor of the input (Bareiss 1968).
-    Returns ``(pivots, det)``: row ``i`` holds ``det`` in column
-    ``pivots[i]`` and zero in every other pivot column; ``det`` is the last
-    pivot, or 1 when there is none.
+    Pivots on the first ``ncols`` columns of ``m`` in order (later columns
+    are carried along), skipping columns without a pivot.  Returns
+    ``(pivots, det)``: the pivot rows are ``det`` times the reduced
+    row-echelon form, and ``det`` is the last pivot, or 1 if there is none.
     """
     pivots = []
     det = 1
     for c in range(ncols):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r]
-        p = piv[c]
-        for i, row in enumerate(m):
-            if i != r:
-                f = row[c]
-                m[i] = [(p * a - f * b) // det for a, b in zip(row, piv)]
-        pivots.append(c)
-        det = p
         if len(pivots) == len(m):
             break
+        p = _pivot_step(m, len(pivots), c, det)
+        if p:
+            pivots.append(c)
+            det = p
     return pivots, det
 
 
@@ -123,7 +126,7 @@ def abs_det(flat, n):
     """Absolute determinant of the ``n x n`` integer matrix given row by
     row in ``flat``, by fraction-free elimination."""
     rows = [flat[i * n:(i + 1) * n] for i in range(n)]
-    pivots, det = _fraction_free(rows, n)
+    pivots, det = fraction_free(rows, n)
     return abs(det) if len(pivots) == n else 0
 
 
@@ -132,36 +135,67 @@ def solve_nonneg(mat, rhs, max_support=None, require=()):
 
     Decides feasibility of ``{x >= 0 : mat @ x = rhs}`` through its basic
     solutions (Caratheodory: some linearly independent column support
-    carries one if any solution exists).  Rows are scaled to integers once;
-    each linearly independent support is then visited once, smallest first
-    and lexicographically within a size, and solved by fraction-free
-    elimination.  Supports hold at most ``rank(mat)`` columns and at most
-    ``max_support``, and every one contains the column tuple ``require``.
-    The first nonnegative solution is returned as a full-length vector.  As
-    every smaller support was tried first, it is positive on each column of
-    its support outside ``require``.  Entries must be exact scalars.
+    carries one if any solution exists).  Supports hold at most
+    ``rank(mat)`` columns and at most ``max_support``, all contain the
+    column tuple ``require``, and are tried smallest first and
+    lexicographically within a size; those that share a prefix share its
+    elimination, and a support's last column updates only the rhs.  The
+    first nonnegative solution is returned as a full-length vector.  As
+    every smaller support was tried first, it is positive on each column
+    of its support outside ``require``.  Entries must be exact scalars.
     """
     ncols = len(mat[0]) if mat else 0
-    rows = _integer_rows(mat, rhs)
-    full = [list(row) for row in rows]
-    r = len(_fraction_free(full, ncols)[0])
+    rows = [scale_common((*row, b))[0] for row, b in zip(mat, rhs)]
+    full = list(rows)
+    r = len(fraction_free(full, ncols)[0])
     if any(row[-1] for row in full[r:]):
         return None  # rhs is outside the column space
     cap = r if max_support is None else min(r, max_support)
+    det = 1
+    for k, c in enumerate(require):
+        det = _pivot_step(rows, k, c, det)
+        if not det:
+            return None  # every support holds these dependent columns
     rest = [j for j in range(ncols) if j not in require]
     for size in range(len(require), cap + 1):
-        for extra in combinations(rest, size - len(require)):
-            support = require + extra
-            m = [[row[j] for j in support] + [row[-1]] for row in rows]
-            pivots, det = _fraction_free(m, size)
-            if len(pivots) < size or any(row[-1] for row in m[size:]):
-                continue  # dependent columns, or rhs outside their span
-            nums = [row[-1] for row in m[:size]]
-            if det < 0:
-                det, nums = -det, [-v for v in nums]
-            if all(v >= 0 for v in nums):
+        for support, nums, den in _basic_solutions(
+                rows, det, tuple(require), rest, 0, size - len(require)):
+            if all(v * den >= 0 for v in nums):
                 sol = [ZERO] * ncols
                 for j, v in zip(support, nums):
-                    sol[j] = RAT(v, det)
+                    sol[j] = RAT(v, den)
                 return sol
     return None
+
+
+def _basic_solutions(m, det, support, rest, start, left):
+    """``(support, nums, den)``, the solution ``nums / den``, for each
+    independent extension of ``support`` (the pivots of tableau ``m``, the
+    last one ``det``) by ``left`` columns of ``rest[start:]`` whose span
+    holds the rhs, in lexicographic order.  Depth first: a child makes one
+    step on its new column, a column with no pivot below the ``support``
+    rows is dependent (its subtree is skipped), and a leaf checks only
+    that the updated rhs is zero below the pivots.
+    """
+    k = len(support)
+    if not left:
+        if not any(row[-1] for row in m[k:]):
+            yield support, [row[-1] for row in m[:k]], det
+        return
+    for j in range(start, len(rest) - left + 1):
+        c = rest[j]
+        if left > 1:
+            child = list(m)
+            p = _pivot_step(child, k, c, det)
+            if p:
+                yield from _basic_solutions(child, p, support + (c,), rest,
+                                            j + 1, left - 1)
+            continue
+        pr = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        p, b = m[pr][c], m[pr][-1]
+        if all(p * row[-1] == row[c] * b for row in m[k:]):
+            yield (support + (c,),
+                   [(p * row[-1] - row[c] * b) // det for row in m[:k]]
+                   + [b], p)

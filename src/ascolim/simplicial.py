@@ -441,13 +441,6 @@ def prism_end_carrier(prism, base, t):
     return SubcomplexCarrier(prism, sel)
 
 
-def prism_over_carrier(prism, carrier):
-    """Carrier of ``C x [0,1]`` inside a one-level prism triangulation;
-    the end copies of ``C`` are faces of its staircase cells."""
-    sel = [cell for s in carrier.tops() for cell in _staircase(s)]
-    return SubcomplexCarrier(prism, sel)
-
-
 # -- exact refinement volumes ----------------------------------------------
 
 

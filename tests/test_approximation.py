@@ -419,10 +419,9 @@ def test_face_constraint_on_a_refined_complex_checks_its_pieces():
                                               "mode": "sampled"}])
 
 
-def test_grid_check_hull_tests_the_pieces_of_an_edge_constraint(
-        monkeypatch):
-    # an edge constraint on a triangle patch: the grid refines the edge
-    # into two pieces, and each slice hull-tests both pieces' images
+def edge_constraint_patch():
+    """A triangle patch with an edge constraint, which the grid refines
+    into two pieces: ``(tri, patch, model, edge, right, spec)``."""
     tri = SimplicialComplex([Simplex([(0, 0), (2, 0), (0, 2)])])
     patch = PLMap(tri, {(0, 0): (F(1), F(0), F(0), F(0)),
                         (2, 0): (F(3), F(1), F(0), F(0)),
@@ -432,6 +431,14 @@ def test_grid_check_hull_tests_the_pieces_of_an_edge_constraint(
     right = HalfSpace((1, 0, 0, 0), F(1, 2))      # x_0 > 1/2
     spec = NeighborhoodSpec([Constraint("all", model.carrier),
                              Constraint(edge, right)])
+    return tri, patch, model, edge, right, spec
+
+
+def test_grid_check_hull_tests_the_pieces_of_an_edge_constraint(
+        monkeypatch):
+    # an edge constraint on a triangle patch: the grid refines the edge
+    # into two pieces, and each slice hull-tests both pieces' images
+    tri, patch, model, edge, right, spec = edge_constraint_patch()
     tested = []
     in_grid_check = []
     certify = approximation._certify_grid
@@ -461,6 +468,41 @@ def test_grid_check_hull_tests_the_pieces_of_an_edge_constraint(
     assert len(tested) == len(pieces) * len(record.grid_reports)
     assert set(tested[:2]) == {frozenset(tuple(patch(v)) for v in p.vertices)
                                for p in pieces}
+
+
+def test_grid_check_finds_a_face_constraints_pieces_once(monkeypatch):
+    # the grid and the edge do not change between slices, so the grid
+    # check finds the edge's pieces (one relative_volumes call) once
+    tri, patch, model, edge, right, spec = edge_constraint_patch()
+    volumes = []
+    grid_args = []
+    certify = approximation._certify_grid
+    relative_volumes = approximation.relative_volumes
+
+    def certify_recording(*args):
+        grid_args.append(args)
+        volumes.clear()
+        return certify(*args)
+
+    def volumes_counting(*args):
+        volumes.append(True)
+        return relative_volumes(*args)
+
+    monkeypatch.setattr(approximation, "_certify_grid", certify_recording)
+    monkeypatch.setattr(approximation, "relative_volumes", volumes_counting)
+    record = individual_approximation(tri, patch, spec, None, model,
+                                      alpha=1, config=CONFIG)
+    assert len(volumes) == 1
+    [(engine, rows, ts, seed)] = grid_args
+    grid = engine.grid_complex
+    afresh = []
+    for k, t in enumerate(ts):
+        column = [row[k] for row in rows]
+        ok, details = spec.check_map(grid, bake_on(grid, column),
+                                     rng=random.Random(seed))
+        afresh.append({"t": str(t), "ok": ok, "details": details})
+    assert record.grid_reports == afresh
+    assert len(volumes) == 1 + len(ts) > 2
 
 
 def test_constraint_rejects_other_subset_kinds():

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ascolim import linalg
 from ascolim.convexity import (FinitePointSet, conv2_pair_contains,
@@ -162,3 +164,58 @@ def test_hull_oracle_low_dimensional_sets():
     single = FinitePointSet([(5, 5)])
     assert hull_contains(single, (5, 5))
     assert not hull_contains(single, (5, 6))
+    for probe in [(1, 1, 5), (1,)]:  # probes of another dimension
+        with pytest.raises(InputError):
+            hull_contains(seg, probe)
+
+
+HALVES = st.integers(-4, 4).map(lambda v: F(v, 2))
+
+
+@st.composite
+def flat_sets(draw):
+    """A point set with repeated points, often in an affine hull of lower
+    dimension than its ambient space, and a probe: a convex combination
+    of its points, a point of its affine hull or any point."""
+    dim = draw(st.integers(1, 3))
+    rank = draw(st.integers(0, dim))
+    base = draw(st.lists(HALVES, min_size=dim, max_size=dim))
+    dirs = draw(st.lists(st.lists(HALVES, min_size=dim, max_size=dim),
+                         min_size=rank, max_size=rank))
+
+    def in_hull(coeffs):
+        return tuple(b + sum(c * v[d] for c, v in zip(coeffs, dirs))
+                     for d, b in enumerate(base))
+
+    coeffs = st.lists(HALVES, min_size=rank, max_size=rank)
+    pts = [in_hull(draw(coeffs)) for _ in range(draw(st.integers(1, 5)))]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=2))
+    kind = draw(st.sampled_from(["member", "affine", "any"]))
+    if kind == "member":
+        w = draw(st.lists(st.integers(0, 3), min_size=len(pts),
+                          max_size=len(pts)).filter(any))
+        probe = combine(pts, [F(v, sum(w)) for v in w])
+    elif kind == "affine":
+        probe = in_hull(draw(coeffs))
+    else:
+        probe = tuple(draw(st.lists(HALVES, min_size=dim, max_size=dim)))
+    return FinitePointSet(pts), probe
+
+
+@settings(derandomize=True, database=None, max_examples=150,
+          deadline=None)
+@given(flat_sets())
+def test_hull_oracle_is_conv_of_dim_plus_one(case):
+    ps, probe = case
+    assert hull_contains(ps, probe) \
+        == conv_n_contains(ps, ps.dim + 1, probe)[0]
+
+
+@settings(derandomize=True, database=None, max_examples=100,
+          deadline=None)
+@given(flat_sets())
+def test_conv_n_is_monotone_in_n(case):
+    ps, probe = case
+    verdicts = [conv_n_contains(ps, n, probe)[0]
+                for n in range(1, len(ps) + 2)]
+    assert verdicts == sorted(verdicts)

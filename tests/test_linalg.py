@@ -67,3 +67,105 @@ def test_solve_nonneg_smallest_support_first():
         == [0, 0, 1]
     assert linalg.solve_nonneg(mat, [F(1), F(1)], require=(0,)) == [1, 1, 0]
     assert linalg.solve_nonneg(mat, [F(-1), F(1)]) is None
+
+
+def _reference_solve(mat, rhs, max_support=None, require=()):
+    """The first nonnegative basic solution by one fresh Gauss-Jordan
+    solve per column support: supports of at most ``rank(mat)`` and
+    ``max_support`` columns that hold ``require``, smallest first and in
+    ``combinations`` order within a size."""
+    ncols = len(mat[0]) if mat else 0
+    cap = linalg.rank(mat)
+    if max_support is not None:
+        cap = min(cap, max_support)
+    rest = [j for j in range(ncols) if j not in require]
+    for size in range(len(require), cap + 1):
+        for extra in combinations(rest, size - len(require)):
+            support = tuple(require) + extra
+            res = linalg.solve([[row[j] for j in support] for row in mat],
+                               rhs)
+            if res is None or res[1] or any(v < 0 for v in res[0]):
+                continue
+            sol = [F(0)] * ncols
+            for j, v in zip(support, res[0]):
+                sol[j] = v
+            return sol
+    return None
+
+
+def _hull_system(rng, npts):
+    """``CoordinatePlaneComplement.contains_hull``'s system: does the hull
+    of ``npts`` points meet the plane ``x_i = x_j = 0``?"""
+    pts = [(F(rng.randint(-2, 2), 2), F(rng.randint(-2, 2), 3))
+           for _ in range(npts)]
+    return ([[p[0] for p in pts], [p[1] for p in pts], [F(1)] * npts],
+            [F(0), F(0), F(1)], None, ())
+
+
+def _ray_system(rng):
+    """``conv2_with_convn_contains``'s system for one ray in R^4: the
+    direction column, then ten lifted points."""
+    pts = [[F(rng.randint(-6, 6), 3) for _ in range(4)] for _ in range(10)]
+    if rng.random() < 0.5:  # a probe inside the hull of four points
+        w = [F(rng.randint(1, 4)) for _ in range(4)]
+        p = [sum(wi * q[d] for wi, q in zip(w, pts)) / sum(w)
+             for d in range(4)]
+    else:
+        p = [F(rng.randint(-8, 8), 3) for _ in range(4)]
+    x = pts[rng.randrange(10)]
+    mat = [[x[d] - p[d]] + [q[d] for q in pts] for d in range(4)]
+    mat.append([F(0)] + [F(1)] * 10)
+    return mat, p + [F(1)], rng.randint(1, 5), (0,)
+
+
+def _general_system(rng):
+    mat, rhs = _random_system(rng)
+    if rng.random() < 0.2:  # a rank-deficient row
+        mat.append([a - b for a, b in zip(mat[0], mat[-1])])
+        rhs.append(rhs[0] - rhs[-1])
+    if rng.random() < 0.1:
+        rhs = [F(0)] * len(rhs)
+    max_support = rng.choice([None, 1, 2, 3])
+    require = (0,) if rng.random() < 0.3 else ()
+    if len(mat[0]) > 2 and rng.random() < 0.1:
+        require = (len(mat[0]) - 1, 1)
+    return mat, rhs, max_support, require
+
+
+def test_solve_nonneg_returns_the_parent_solution():
+    # the prefix-sharing search returns the very vector that one fresh
+    # elimination per support returns, not just the same verdict
+    rng = random.Random(1409)
+    systems = [_general_system(rng) for _ in range(500)]
+    systems += [_hull_system(rng, rng.choice([2, 3])) for _ in range(150)]
+    systems += [_ray_system(rng) for _ in range(40)]
+    found = set()
+    for mat, rhs, max_support, require in systems:
+        got = linalg.solve_nonneg(mat, rhs, max_support, require)
+        assert got == _reference_solve(mat, rhs, max_support, require), (
+            mat, rhs, max_support, require)
+        found.add((len(mat[0]), got is not None))
+    assert {(2, False), (3, False), (3, True), (11, False),
+            (11, True)} <= found
+
+
+def test_solve_nonneg_shares_each_prefix_elimination(monkeypatch):
+    # an infeasible 5 x 10 system of rank 5 (row 0 is positive, its rhs
+    # negative) makes the search visit every support of up to 5 columns;
+    # one elimination per support would take 2,565 pivot steps
+    rng = random.Random(5)
+    mat = [[F(1)] * 10] + [[F(rng.randint(-4, 4), rng.randint(1, 3))
+                            for _ in range(10)] for _ in range(4)]
+    rhs = [F(-1), F(1), F(2), F(0), F(-3)]
+    assert linalg.rank(mat) == 5
+    steps = []
+    step = linalg._pivot_step
+
+    def counting(*args):
+        p = step(*args)
+        steps.append(p != 0)
+        return p
+
+    monkeypatch.setattr(linalg, "_pivot_step", counting)
+    assert linalg.solve_nonneg(mat, rhs) is None
+    assert sum(steps) <= 386

@@ -12,8 +12,8 @@ from ascolim.simplicial import (SimplicialComplex, SubcomplexCarrier,
                                 SubdividedComplex, _subdivision_cap,
                                 barycentric_subdivide, bsd_with_parents,
                                 max_diameter_sq, prism_end_carrier,
-                                prism_over_carrier, relative_volumes,
-                                subdivide_until, triangulate_prism)
+                                relative_volumes, subdivide_until,
+                                triangulate_prism)
 
 F = Fraction
 
@@ -278,8 +278,6 @@ def test_prism_vertex_carrier_is_an_edge():
     prism = triangulate_prism(cx, aligned=[SubcomplexCarrier(cx, [v])])
     edge = Simplex([(0, 0), (0, 1)])
     assert edge in prism
-    over = prism_over_carrier(prism, SubcomplexCarrier(cx, [v]))
-    assert edge in over.selected
 
 
 def test_prism_consistency_across_shared_faces():
