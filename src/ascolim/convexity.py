@@ -2,8 +2,9 @@
 
 ``conv_n(Y)`` is the set of combinations ``t_1 y_1 + ... + t_n y_n`` with
 nonnegative coefficients summing to one; ``conv_2(X, Y)`` the segments
-``t x + (1-t) y``.  Membership is decided exactly by one call per
-question to ``linalg.solve_nonneg``; every positive answer carries a
+``t x + (1-t) y``.  Membership is decided exactly: a probe outside the
+hull is rejected by a checked Farkas certificate (``linalg.farkas``), the
+others by ``linalg.solve_nonneg``; every positive answer carries a
 certificate that is re-verified by plain arithmetic before it is
 returned.  ``hull_contains``, the independent full-hull oracle, runs on
 integer coordinates by fraction-free elimination.
@@ -87,8 +88,9 @@ def conv_n_contains(point_set, n, x):
 
     Returns ``(verdict, certificate)``; the certificate is ``None`` on a
     negative verdict and otherwise lists the points of the smallest
-    support found with their positive coefficients.  Decided by one exact
-    feasibility search over the supports of at most ``n`` points.
+    support found with their positive coefficients.  A probe outside the
+    hull is rejected by a checked Farkas certificate, the others by one
+    exact feasibility search over the supports of at most ``n`` points.
     """
     if n < 1:
         raise InputError("n must be at least 1")
@@ -98,8 +100,10 @@ def conv_n_contains(point_set, n, x):
     if len(x) != point_set.dim:
         raise InputError("probe point of wrong dimension")
     pts = point_set.points
-    sol = linalg.solve_nonneg(_lifted(pts), list(x) + [RAT(1)],
-                              max_support=n)
+    lifted, rhs = _lifted(pts), list(x) + [RAT(1)]
+    if linalg.farkas(lifted, rhs) is not None:
+        return False, None
+    sol = linalg.solve_nonneg(lifted, rhs, max_support=n)
     if sol is None:
         return False, None
     support = [j for j, v in enumerate(sol) if v]
@@ -155,8 +159,10 @@ def conv2_with_convn_contains(point_set, n, p):
     for a point of ``conv_n(X)`` (the segment endpoint ``q``), including
     the degenerate ``t = 1`` case ``p = x``.  The ``s = 0`` end of every
     ray is ``p`` itself, so ``p in conv_n(X)`` is tested once; each ray
-    then only searches supports with ``s > 0``.  Returns the verdict plus
-    a witness ``(x, t, q)`` with ``p == t*x + (1-t)*q`` when positive.
+    then only searches supports with ``s > 0``.  A probe outside
+    ``conv(X)``, which holds the set, is rejected first by a checked Farkas
+    certificate.  Returns the verdict plus a witness ``(x, t, q)`` with
+    ``p == t*x + (1-t)*q`` when positive.
     """
     if n < 1:
         raise InputError("n must be at least 1")
@@ -169,8 +175,9 @@ def conv2_with_convn_contains(point_set, n, p):
     for x in pts:
         if tuple(x) == tuple(p):
             return True, (x, RAT(1), x)
-    lifted = _lifted(pts)
-    rhs = list(p) + [RAT(1)]
+    lifted, rhs = _lifted(pts), list(p) + [RAT(1)]
+    if linalg.farkas(lifted, rhs) is not None:
+        return False, None
     if linalg.solve_nonneg(lifted, rhs, max_support=n) is not None:
         return True, (pts[0], RAT(0), p)
     for x in pts:

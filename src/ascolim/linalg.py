@@ -6,10 +6,12 @@ exact scalars.  ``solve_nonneg``, the one nonnegative-feasibility routine
 every caller shares, scales rows to integers once and walks the column
 supports depth first by fraction-free elimination (Bareiss 1968), so
 supports that share a prefix share its elimination and exact rationals
-are built only for the solution returned.  ``fraction_free`` and
-``abs_det`` run the same elimination step.
+are built only for the solution returned.  ``farkas`` proves such a
+system empty by an exact Phase-I simplex and a checked certificate; it,
+``fraction_free`` and ``abs_det`` run the same elimination step.
 """
 
+from ascolim.errors import CertificateError
 from ascolim.rats import RAT, scale_common
 
 ZERO = RAT(0)
@@ -83,16 +85,20 @@ def invert(mat):
 
 
 def _pivot_step(m, r, c, det):
-    """One fraction-free Gauss-Jordan step on integer rows ``m``: pivot
-    on column ``c`` at the first row from ``r`` on that is nonzero there,
-    after the pivot ``det``.  Divisions are exact, as each entry stays a
-    minor of the input.  Returns the pivot, or 0 if ``c`` has none.  Rows
-    are replaced, not changed, so a copy of ``m`` keeps the old tableau.
-    """
+    """``_eliminate`` at the first row from ``r`` on that is nonzero in
+    column ``c``, moved to row ``r``; 0 if there is none."""
     pr = next((i for i in range(r, len(m)) if m[i][c]), None)
     if pr is None:
         return 0
     m[r], m[pr] = m[pr], m[r]
+    return _eliminate(m, r, c, det)
+
+
+def _eliminate(m, r, c, det):
+    """One fraction-free Gauss-Jordan step on integer rows ``m``: pivot on
+    ``m[r][c]`` after the pivot ``det``, which it returns.  Divisions are
+    exact, as each entry stays a minor of the input.  Rows are replaced,
+    not changed, so a copy of ``m`` keeps the old tableau."""
     piv = m[r]
     p = piv[c]
     for i, row in enumerate(m):
@@ -199,3 +205,49 @@ def _basic_solutions(m, det, support, rest, start, left):
             yield (support + (c,),
                    [(p * row[-1] - row[c] * b) // det for row in m[:k]]
                    + [b], p)
+
+
+def farkas(mat, rhs):
+    """A Farkas certificate that ``{x >= 0 : mat @ x = rhs}`` is empty:
+    an integer ``y`` with ``y . mat_j <= 0`` for every column ``j`` and
+    ``y . rhs > 0``, or ``None`` if the set is nonempty.  ``y`` comes from
+    an exact Phase-I simplex on the rows signed to ``rhs >= 0`` and scaled
+    to integers; one that fails its integer check raises
+    ``CertificateError``.  Entries must be exact scalars."""
+    scaled = [scale_common((*row, b)) for row, b in zip(mat, rhs)]
+    rows = [nums if nums[-1] >= 0 else [-v for v in nums]
+            for nums, _ in scaled]
+    y = _phase_one(rows, len(mat[0]) if mat else 0)
+    if y is None:
+        return None  # Phase I found a solution
+    dots = [sum(v * a for v, a in zip(y, col)) for col in zip(*rows)]
+    if max(dots[:-1], default=0) > 0 or dots[-1] <= 0:
+        raise CertificateError(f"{y!r} is no Farkas certificate of {rows!r}")
+    return [v * den if b >= 0 else -v * den
+            for v, (_, den), b in zip(y, scaled, rhs)]
+
+
+def _phase_one(rows, ncols):
+    """Phase I of the simplex method on integer rows ``[A | b]``,
+    ``b >= 0``: minimize the sum of one artificial column per row by
+    fraction-free steps on ``[A | I | b]`` and its cost row, each entry
+    ``det > 0`` times its value.  Bland's rule picks the entering column
+    (the first of negative cost) and the leaving one (least ratio, then
+    least basic column), so it terminates (Bland 1977).  ``None`` once the
+    artificial sum is 0, else ``det`` times the optimal duals ``y``, read
+    off the artificial columns' reduced costs ``1 - y_i``."""
+    m = len(rows)
+    t = [[*row[:-1], *(int(i == k) for k in range(m)), row[-1]]
+         for i, row in enumerate(rows)]
+    # the cost row: cost 1 on each artificial column, less every row
+    t.append([-sum(c) for c in zip(*t, [0] * ncols + [-1] * m + [0])])
+    basis, det = list(range(ncols, ncols + m)), 1
+    while t[-1][-1]:  # -det times the artificial sum
+        j = next((j for j, v in enumerate(t[-1][:-1]) if v < 0), None)
+        if j is None:
+            return [det - v for v in t[-1][ncols:-1]]
+        r = min((i for i in range(m) if t[i][j] > 0),
+                key=lambda i: (RAT(t[i][-1], t[i][j]), basis[i]))
+        det = _eliminate(t, r, j, det)
+        basis[r] = j
+    return None

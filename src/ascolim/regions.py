@@ -374,9 +374,8 @@ def _halfspace_subset(a, b):
         return None
     if b.offset < ratio * a.offset:
         return True
-    if b.offset == ratio * a.offset:
-        return True if (b.strict or not a.strict) else None
-    return False
+    # at a shared boundary only a closed inner in an open outer fails
+    return b.offset == ratio * a.offset and (a.strict or not b.strict)
 
 
 def conv2_subset(inner, outer):

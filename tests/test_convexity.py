@@ -219,3 +219,52 @@ def test_conv_n_is_monotone_in_n(case):
     verdicts = [conv_n_contains(ps, n, probe)[0]
                 for n in range(1, len(ps) + 2)]
     assert verdicts == sorted(verdicts)
+
+
+def _questions(seed):
+    """Questions like the benchmark's: sets of 2-8 points in R^3 with
+    ``n`` from 1 to ``dim + 1`` and a probe that is a combination of
+    ``n + 1`` set points or a random point, which is mostly outside the
+    hull."""
+    rng = random.Random(seed)
+    for size in (2, 4, 6, 8):
+        for n in range(1, 5):
+            for _ in range(4):
+                ps = _random_set(rng, size)
+                yield ps, n, _random_probe(rng, ps, n + 1)
+
+
+def _answers(ps, n, probe):
+    return (conv2_with_convn_contains(ps, n, probe),
+            conv_n_contains(ps, n, probe), conv_n_contains(ps, n + 1, probe))
+
+
+def test_probes_outside_the_hull_make_no_support_search(monkeypatch):
+    calls = []
+    solve = linalg.solve_nonneg
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "solve_nonneg", counting)
+    outside = 0
+    for ps, n, probe in _questions(1506):
+        if hull_contains(ps, probe):
+            continue
+        outside += 1
+        assert _answers(ps, n, probe) == ((False, None), (False, None),
+                                          (False, None))
+        assert calls == []
+    assert outside >= 20
+
+
+def test_farkas_gate_keeps_every_answer(monkeypatch):
+    # without the gate every question goes to the support search; the
+    # verdicts, certificates and witnesses are the same
+    questions = list(_questions(1507))
+    gated = [_answers(*q) for q in questions]
+    monkeypatch.setattr(linalg, "farkas", lambda mat, rhs: None)
+    assert [_answers(*q) for q in questions] == gated
+    verdicts = {(q[1], a[0][0]) for q, a in zip(questions, gated)}
+    assert verdicts == {(n, v) for n in range(1, 5) for v in (False, True)}

@@ -136,6 +136,17 @@ def test_region_subset_halfspace_and_plane():
     assert region_subset(OpenBall((3, 0), 4), pc) is False
     assert region_subset(HalfSpace((1, 0), 1), HalfSpace((2, 0), 1)) is True
     assert region_subset(HalfSpace((1, 0), 0), HalfSpace((1, 0), 1)) is False
+    # a shared boundary: only a closed inner in an open outer fails
+    # ((0, 0) lies in the first and not in the second), at any scale
+    for inner, outer in ((((1, 0), 0), ((1, 0), 0)),
+                         (((2, 0), 0), ((1, 0), 0)),
+                         (((2, 4), 2), ((1, 2), 1))):
+        for strict_in in (True, False):
+            for strict_out in (True, False):
+                got = region_subset(HalfSpace(*inner, strict=strict_in),
+                                    HalfSpace(*outer, strict=strict_out))
+                assert got is (strict_in or not strict_out), (
+                    inner, outer, strict_in, strict_out)
 
 
 def test_region_subset_through_compounds():
