@@ -27,7 +27,7 @@ from ascolim.filling import cone_decomposition
 from ascolim.filtered_spaces import (CompactSample, identity_chart,
                                      quarter_core, shrink_chart)
 from ascolim.geometry import (Outside, Simplex, affine_lipschitz_sq_bound,
-                              combine, sqdist, sqdist_point_simplex)
+                              combine, mean, sqdist, sqdist_point_simplex)
 from ascolim.plmaps import FuncMap, PLMap, as_evaluator
 from ascolim.rats import RAT, to_rat
 from ascolim.regions import (ClosedBall, CoordinatePlaneComplement,
@@ -593,7 +593,7 @@ def _charts_fit(tree, gamma0, cell_regions, provider):
     for cell in tree.final.tops():
         region = cell_regions[cell.key]
         values = _map_values(gamma0, cell)
-        bary_img = combine(values, [RAT(1, len(values))] * len(values))
+        bary_img = mean(values)
         best = None
         for q in [bary_img] + values:
             try:

@@ -52,6 +52,15 @@ def combine(points, coeffs):
     return tuple(acc)
 
 
+def mean(points):
+    """Exact mean of points: the integer numerators over one common
+    denominator are summed, giving one ``Fraction`` per coordinate."""
+    dim = len(points[0])
+    nums, den = scale_common([c for p in points for c in p])
+    return tuple(RAT(sum(nums[d::dim]), den * len(points))
+                 for d in range(dim))
+
+
 @dataclass(frozen=True)
 class Outside:
     """Verdict of a failed barycentric membership query.
@@ -99,19 +108,20 @@ class Simplex:
             raise InputError("vertices are affinely dependent")
 
     @classmethod
-    def trusted(cls, vertices):
+    def trusted(cls, vertices, key=None):
         """Construct without the independence check.
 
         Only for vertex sets that are independent by construction: subsets
         of a valid simplex's vertices, barycenter chains of a subdivision,
-        staircase lifts.
+        staircase lifts.  ``key``, when given, must equal the frozenset of
+        the vertices; it spares hashing them again.
         """
         obj = cls.__new__(cls)
-        vs = tuple(tuple(v) for v in vertices)
+        vs = tuple(map(tuple, vertices))
         obj.vertices = vs
         obj.rank = len(vs)
         obj.dim = len(vs[0])
-        obj.key = frozenset(vs)
+        obj.key = frozenset(vs) if key is None else key
         obj._solver = None
         obj._contains_cache = {}
         return obj
@@ -132,7 +142,8 @@ class Simplex:
         return f"Simplex({list(self.vertices)!r})"
 
     def barycenter(self):
-        return combine(self.vertices, [RAT(1, self.rank)] * self.rank)
+        """The exact mean of the vertices (see ``mean``)."""
+        return mean(self.vertices)
 
     def faces(self):
         """All proper nonempty faces, as simplices."""

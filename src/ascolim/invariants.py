@@ -312,15 +312,21 @@ def component_union_check(cmodel, node):
 
 
 def _carrier_axis(model):
+    """The one ``(i, j)`` plane the carrier removes: with none or more,
+    one winding number is not a complete invariant (``InputError``)."""
     from ascolim.regions import CoordinatePlaneComplement, Intersection
+    axes = set()
     stack = [model.carrier]
     while stack:
         node = stack.pop()
         if isinstance(node, CoordinatePlaneComplement):
-            return (node.i, node.j)
+            axes.add((node.i, node.j))
         if isinstance(node, Intersection):
             stack.extend(node.parts)
-    raise InputError("model carrier has no removed coordinate plane")
+    if len(axes) != 1:
+        raise InputError("model carrier removes the coordinate planes "
+                         f"{sorted(axes)}; the pi_1 experiments need one")
+    return axes.pop()
 
 
 def surjectivity_leg(model, probe, config=None):

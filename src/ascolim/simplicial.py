@@ -183,19 +183,18 @@ def _intersection_is_common_face(s1, s2):
 # -- barycentric subdivision ----------------------------------------------
 
 
-def _chains(complex_):
-    """All chains in the face poset, as lists ordered by inclusion,
-    grouped by the key of their largest element."""
-    order = sorted(complex_.simplices, key=lambda s: s.rank)
+def _chains(complex_, centers):
+    """All chains in the face poset, as tuples of face keys ordered by
+    inclusion, each with the key of its cell of ``centers``, grouped by
+    their largest face.  That key is its prefix's joined with the set of
+    the last face's center, made once per face; frozenset union reuses
+    the hashes its entries store, so no center is hashed again."""
     ending = {}
-    for s in order:
-        chains = [[s]]
-        for t in order:
-            if t.rank >= s.rank:
-                break
-            if t.key < s.key:
-                chains.extend(ch + [s] for ch in ending[t.key])
-        ending[s.key] = chains
+    for face in sorted((s.key for s in complex_.simplices), key=len):
+        mark = frozenset([centers[face]])
+        ending[face] = [((face,), mark)] + [
+            (ch + (face,), key | mark)
+            for sub in ending if sub < face for ch, key in ending[sub]]
     return ending
 
 
@@ -205,24 +204,33 @@ def bsd_with_parents(complex_, centers=None):
     Returns ``(subdivided, pieces)`` where ``pieces`` maps the key of each
     input simplex to the cells of its own rank that subdivide it: its
     maximal chains, which start at a vertex and go up one rank at a time.
-    The tops of the subdivision are the pieces of the input's tops, so
-    they are known without a cover scan.
+    A cell's vertices are its chain's centers in chain order.  The tops
+    are the pieces of the input's tops, so no cover scan finds them, and
+    ``_top_order`` orders them on integers: by their centers' numbers in
+    the coordinate order of all centers, which are sorted once.
     """
-    pieces = {}
-    cells = []
     if centers is None:
         centers = {s.key: s.barycenter() for s in complex_.simplices}
-    for key, chains in _chains(complex_).items():
+    keys, dim = list(centers), complex_.dim
+    nums = scale_common([c for key in keys for c in centers[key]])[0]
+    rows = [nums[i:i + dim] for i in range(0, len(nums), dim)]
+    number = {keys[i]: n for n, i in
+              enumerate(sorted(range(len(keys)), key=rows.__getitem__))}
+    del nums, rows  # freed before the cells are made, at the peak
+    top_keys = {top.key for top in complex_.tops()}
+    pieces, cells, tops = {}, [], []
+    for key, chains in _chains(complex_, centers).items():
         own = []
-        for chain in chains:
-            cell = Simplex.trusted([centers[f.key] for f in chain])
+        for chain, cell_key in chains:
+            cell = Simplex.trusted([centers[f] for f in chain], cell_key)
             cells.append(cell)
-            if len(chain) == chain[-1].rank:
+            if len(chain) == len(key):
                 own.append(cell)
+                if key in top_keys:
+                    tops.append((sorted(number[f] for f in chain), cell))
         pieces[key] = tuple(own)
     sub = SimplicialComplex(cells, close=False)
-    sub._tops = sorted((cell for top in complex_.tops()
-                        for cell in pieces[top.key]), key=_top_order)
+    sub._tops = [cell for _, cell in sorted(tops, key=lambda t: t[0])]
     return sub, pieces
 
 
@@ -289,15 +297,17 @@ class SubdividedComplex:
         return len(self.levels) - 1
 
     def refine(self, steps=1):
+        """Subdivide ``steps`` times.  A center's origin is its simplex's
+        key on the base level and, later, the origin of the simplex's last
+        vertex, which in chain order holds the others'."""
         for _ in range(steps):
             current = self.levels[-1]
             centers = {}
             for s in current.simplices:
                 center = s.barycenter()
                 centers[s.key] = center
-                if center not in self.origins:
-                    self.origins[center] = frozenset().union(
-                        *(self.origins[v] for v in s.vertices))
+                self.origins[center] = (self.origins[s.vertices[-1]]
+                                        if self.pieces else s.key)
             nxt, pieces = bsd_with_parents(current, centers)
             self.levels.append(nxt)
             self.pieces.append(pieces)
@@ -315,15 +325,17 @@ class SubdividedComplex:
         r = self.final.rank
         if r == 1:
             return 0
-        cap = _subdivision_cap(r, max_diameter_sq(self.final), delta_sq)
+        mesh = max_diameter_sq(self.final)
+        cap = _subdivision_cap(r, mesh, delta_sq)
         m = 0
-        while max_diameter_sq(self.final) >= delta_sq:
+        while mesh >= delta_sq:
             if m >= cap:
                 raise ResolutionExceededError(
                     f"subdivision bound {cap} reached without "
                     f"diameter < {delta}")
             self.refine()
             m += 1
+            mesh = max_diameter_sq(self.final)
         return m
 
     def root(self, simplex):

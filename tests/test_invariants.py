@@ -13,15 +13,16 @@ from ascolim.errors import ChartCoverError, InputError
 from ascolim.filtered_spaces import (AffineMap, FilteredSpaceModel,
                                      Filtration)
 from ascolim.geometry import Simplex, combine
-from ascolim.invariants import (ComponentModel, LoopModel,
+from ascolim.invariants import (ComponentModel, LoopModel, _carrier_axis,
                                 component_union_check, cyclic_vertex_order,
                                 injectivity_leg, loop_as_pl, pi0_report,
                                 pi1_directlimit_experiment,
                                 palais_experiment, polygon_domain,
                                 surjectivity_leg, winding_number)
-from ascolim.regions import CoordinatePlaneComplement, OpenBall, Union
-from ascolim.simplicial import (SimplicialComplex, bsd_with_parents,
-                                relative_volumes)
+from ascolim.regions import (CoordinatePlaneComplement, Intersection,
+                             OpenBall, Union)
+from ascolim.simplicial import (SimplicialComplex, SubdividedComplex,
+                                bsd_with_parents, relative_volumes)
 
 F = Fraction
 
@@ -287,6 +288,27 @@ def test_injectivity_leg_rejects_unequal_winding():
         injectivity_leg(model, sigma, tau, FAST)
 
 
+def test_pi1_experiments_reject_a_carrier_with_two_planes():
+    # (R^2 - 0) x (R^2 - 0) x R^4 has pi_1 = Z^2, which one winding number
+    # cannot read: the square around x_0 = x_1 = 0 at x_2 = 2, read on the
+    # axis (2, 3), has winding 0 and the experiment reported Z^1
+    filt = Filtration(8, [(2, {0, 1, 2, 3}), (4, set(range(6)))])
+    planes = [CoordinatePlaneComplement(8, 0, 1),
+              CoordinatePlaneComplement(8, 2, 3)]
+    model = FilteredSpaceModel(filt, Intersection(planes))
+    square = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+    probe = LoopModel([(F(a), F(b), F(2)) + (F(0),) * 5 for a, b in square],
+                      axis=(2, 3))
+    with pytest.raises(InputError, match="coordinate planes"):
+        pi1_directlimit_experiment(model, [probe], None, FAST)
+    with pytest.raises(InputError, match="coordinate planes"):
+        injectivity_leg(model, probe, probe, FAST)
+    twice = FilteredSpaceModel(filt, Intersection([planes[0], planes[0]]))
+    assert _carrier_axis(twice) == (0, 1)
+    with pytest.raises(InputError, match="coordinate planes"):
+        _carrier_axis(FilteredSpaceModel(filt, OpenBall((F(0),) * 8, 1)))
+
+
 def _count_calls(monkeypatch, calls, owner, name):
     """Wrap ``owner.name`` so that each call adds one to ``calls[name]``."""
     original = getattr(owner, name)
@@ -385,6 +407,36 @@ def test_subdivision_build_hash_and_solve_count(monkeypatch):
     vols = relative_volumes(sx, pieces)
     assert len(pieces) == 120 and vols == [F(1, 120)] * 120
     assert calls["solve"] == 0
+
+
+def test_subdivision_hashes_each_new_center_once(monkeypatch):
+    # machine-independent budget: a cell's key is its chain prefix's key
+    # joined with its new center, and tops are ordered by integer ranks
+    # of the centers, so the subdivision of one rank-5 simplex in R^6
+    # hashes each of its 31 centers once (keys built from vertex tuples
+    # took 21,606 Fraction hashes), and three refinements of two
+    # triangles make 1,804 (9,098 with tuple keys)
+    rng = random.Random(5)
+    while True:
+        try:
+            sx = Simplex([tuple(F(rng.randint(-16, 16), rng.randint(1, 4))
+                                for _ in range(6)) for _ in range(5)])
+            break
+        except InputError:
+            continue
+    cx = SimplicialComplex([sx])
+    cx.tops()
+    base = SimplicialComplex([Simplex([(0, 0), (2, 0), (0, 2)]),
+                              Simplex([(2, 0), (0, 2), (2, 2)])])
+    calls = {"__hash__": 0}
+    _count_calls(monkeypatch, calls, Fraction, "__hash__")
+    sub = bsd_with_parents(cx)[0]
+    assert 0 < calls["__hash__"] <= 31 * 6
+    assert len(sub.tops()) == 120
+    calls["__hash__"] = 0
+    tree = SubdividedComplex(base).refine(3)
+    assert 0 < calls["__hash__"] <= 1_804
+    assert len(tree.final.tops()) == 2 * 6 ** 3
 
 
 def test_pi1_experiment_report():

@@ -5,11 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ascolim.errors import InputError
-from ascolim.geometry import Simplex, diameter_sq, sqdist, vsub
+from ascolim.geometry import Simplex, combine, diameter_sq, sqdist, vsub
 from ascolim.simplicial import (SimplicialComplex, SubcomplexCarrier,
                                 SubdividedComplex, _subdivision_cap,
+                                _top_order,
                                 barycentric_subdivide, bsd_with_parents,
                                 max_diameter_sq, prism_end_carrier,
                                 relative_volumes, subdivide_until,
@@ -482,3 +485,55 @@ def test_carrier_contains_point_is_union_of_selected_tops():
         assert got == any(s.contains(x) for s in chosen)
         verdicts.add(got)
     assert verdicts == {True, False}
+
+
+# -- the subdivision's shortcuts against their plain definitions ------------
+
+
+def _check_level(sub, tops_below):
+    """Cell keys, barycenters and top order of a subdivision ``sub``
+    whose tops are the pieces ``tops_below``, against the definitions."""
+    for cell in sub.simplices:
+        assert cell.key == frozenset(cell.vertices)
+        assert cell.barycenter() == combine(
+            cell.vertices, [F(1, cell.rank)] * cell.rank)
+    assert sub.tops() == sorted(tops_below, key=_top_order)
+
+
+COORDS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+@settings(derandomize=True, database=None, max_examples=6, deadline=None)
+@given(data=st.data())
+def test_bsd_keys_order_and_barycenters_are_the_definitions(rank, data):
+    verts = data.draw(st.lists(st.tuples(*[COORDS] * 6), min_size=rank,
+                               max_size=rank))
+    try:
+        sx = Simplex(verts)
+    except InputError:
+        assume(False)
+    cx = SimplicialComplex([sx])
+    _check_level(cx, [sx])
+    sub, pieces = bsd_with_parents(cx)
+    assert len(sub.tops()) == math.factorial(sx.rank)
+    _check_level(sub, pieces[sx.key])
+
+
+def test_refined_tree_keys_order_and_origins_are_the_definitions():
+    base = SimplicialComplex([Simplex([(0, 0), (2, 0), (0, 2)]),
+                              Simplex([(2, 0), (0, 2), (2, 2)]),
+                              Simplex([(2, 2), (3, 3)])])
+    tree = SubdividedComplex(base).refine(3)
+    for level, pieces, below in zip(tree.levels[1:], tree.pieces,
+                                    tree.levels):
+        _check_level(level, [p for t in below.tops()
+                             for p in pieces[t.key]])
+    origins = {v: frozenset([v]) for v in base.vertices()}
+    for level in tree.levels[:-1]:
+        for s in level.simplices:
+            center = combine(s.vertices, [F(1, s.rank)] * s.rank)
+            origins[center] = frozenset().union(
+                *(origins[v] for v in s.vertices))
+    assert tree.origins == origins
+    assert len(origins) == len(tree.final.vertices())
