@@ -25,7 +25,7 @@ from ascolim.filtered_spaces import validate_well_filled_chart
 from ascolim.geometry import Simplex
 from ascolim.invariants import (component_union_check, palais_experiment,
                                 pi0_report, pi1_directlimit_experiment)
-from ascolim.simplicial import max_diameter_sq, subdivide_until
+from ascolim.simplicial import SubdividedComplex
 
 
 def _load(path):
@@ -70,8 +70,9 @@ def _float_sqrt(value):
 def cmd_subdivide(args, config):
     cx = ser.obj_to_complex(_load(args.input))
     delta = ser.obj_to_scalar(args.delta)
-    m, refined = subdivide_until(cx, delta)
-    diam_sq = max_diameter_sq(refined)
+    tree = SubdividedComplex(cx)
+    m = tree.refine_until(delta)
+    refined, diam_sq = tree.final, tree.mesh_sq()
     report = {
         "m": m,
         "max_diameter": _float_sqrt(diam_sq),

@@ -101,7 +101,7 @@ class Simplex:
         self.dim = dim
         self.key = frozenset(vs)
         self._solver = None
-        self._contains_cache = {}
+        self._contains_cache = None
         if len(self.key) != self.rank:
             raise InputError("repeated vertex")
         if not self._independent():
@@ -123,7 +123,7 @@ class Simplex:
         obj.dim = len(vs[0])
         obj.key = frozenset(vs) if key is None else key
         obj._solver = None
-        obj._contains_cache = {}
+        obj._contains_cache = None
         return obj
 
     def _independent(self):
@@ -208,8 +208,11 @@ class Simplex:
         return coords
 
     def contains(self, x):
-        """Membership of ``x``; the verdict at each point is memoized."""
+        """Membership of ``x``; the verdict at each point is memoized, in
+        a memo made at the first call."""
         x = tuple(x)
+        if self._contains_cache is None:
+            self._contains_cache = {}
         got = self._contains_cache.get(x)
         if got is None:
             got = not isinstance(self.barycentric(x), Outside)

@@ -9,7 +9,8 @@ carriers of subcomplexes.
 """
 
 import math
-from itertools import combinations
+import operator
+from itertools import combinations, islice
 
 from ascolim import linalg
 from ascolim.errors import InputError, ResolutionExceededError
@@ -21,12 +22,12 @@ class SimplicialComplex:
     """Face-closed finite set of simplices in a common ambient space.
 
     A complex is immutable after construction, so its top cells, its
-    vertex list and the answer of ``locate`` at each point are computed
-    once and kept.
+    vertex list, its integer grid (see ``_Grid``) and the answer of
+    ``locate`` at each point are computed once and kept.
     """
 
     __slots__ = ("simplices", "dim", "rank", "_tops", "_by_key",
-                 "_vertices", "_located")
+                 "_vertices", "_located", "_grid")
 
     def __init__(self, simplices, close=True):
         gen = list(simplices)
@@ -55,6 +56,7 @@ class SimplicialComplex:
         self._tops = None
         self._vertices = None
         self._located = {}
+        self._grid = None
 
     def tops(self):
         """Simplices that are not a proper face of another member."""
@@ -183,54 +185,119 @@ def _intersection_is_common_face(s1, s2):
 # -- barycentric subdivision ----------------------------------------------
 
 
-def _chains(complex_, centers):
-    """All chains in the face poset, as tuples of face keys ordered by
-    inclusion, each with the key of its cell of ``centers``, grouped by
-    their largest face.  That key is its prefix's joined with the set of
-    the last face's center, made once per face; frozenset union reuses
-    the hashes its entries store, so no center is hashed again."""
-    ending = {}
-    for face in sorted((s.key for s in complex_.simplices), key=len):
-        mark = frozenset([centers[face]])
-        ending[face] = [((face,), mark)] + [
-            (ch + (face,), key | mark)
-            for sub in ending if sub < face for ch, key in ending[sub]]
+class _Grid:
+    """A complex's vertices as integer rows over one denominator.
+
+    ``rows[i] / den`` is vertex ``i``, and ``ids`` maps the key of each
+    cell to the numbers of its vertices, in the cell's vertex order.  A
+    subdivision's grid comes from the grid below it with no rescaling,
+    and the next subdivision reads its centers from it.
+    """
+
+    __slots__ = ("den", "rows", "ids")
+
+    def __init__(self, den, rows, ids):
+        self.den = den
+        self.rows = rows
+        self.ids = ids
+
+    @classmethod
+    def of(cls, complex_):
+        """The grid of any complex, from its simplices scaled once."""
+        cells, dim = list(complex_.simplices), complex_.dim
+        nums, den = scale_common(
+            [c for s in cells for v in s.vertices for c in v])
+        seen = [nums[i:i + dim] for i in range(0, len(nums), dim)]
+        rows = list(dict.fromkeys(seen))
+        number = dict(zip(rows, range(len(rows))))
+        numbers = iter([number[row] for row in seen])
+        return cls(den, rows, {s.key: tuple(islice(numbers, s.rank))
+                               for s in cells})
+
+    def mesh_sq(self):
+        """The largest squared length of an edge, which is the largest
+        squared diameter of a cell."""
+        rows, best = self.rows, 0
+        for ids in self.ids.values():
+            if len(ids) == 2:
+                edge = list(map(operator.sub, rows[ids[0]], rows[ids[1]]))
+                best = max(best, sum(map(operator.mul, edge, edge)))
+        return RAT(best, self.den ** 2)
+
+
+def _chains(faces, marks):
+    """All chains of a face poset, grouped by their largest face.
+
+    ``faces`` lists the vertex ids of each face, in ascending rank, and
+    ``marks[p]`` is a one-element set for face ``p``.  Returns, for each
+    face, its chains as pairs of a tuple of face positions ordered by
+    inclusion and the union of their marks.  A chain's union is its
+    prefix's joined with the last face's mark, so no mark is hashed
+    again.  A face's proper faces are the subsets of its vertex ids, and
+    their chains are extended in the order of ``faces``.
+    """
+    position, ending = {}, []
+    for p, face in enumerate(faces):
+        face = tuple(sorted(face))
+        subs = sorted(position[sub] for k in range(1, len(face))
+                      for sub in combinations(face, k))
+        mark = marks[p]
+        ending.append([((p,), mark)] + [(ch + (p,), key | mark)
+                                        for q in subs for ch, key in ending[q]])
+        position[face] = p
     return ending
 
 
-def bsd_with_parents(complex_, centers=None):
+def bsd_with_parents(complex_):
     """Barycentric subdivision plus the pieces of each input simplex.
 
     Returns ``(subdivided, pieces)`` where ``pieces`` maps the key of each
     input simplex to the cells of its own rank that subdivide it: its
     maximal chains, which start at a vertex and go up one rank at a time.
-    A cell's vertices are its chain's centers in chain order.  The tops
-    are the pieces of the input's tops, so no cover scan finds them, and
-    ``_top_order`` orders them on integers: by their centers' numbers in
-    the coordinate order of all centers, which are sorted once.
+    A cell's vertices are its chain's centers in chain order.
+
+    Each center is an integer sum of rows of the input's grid (read from
+    the complex the first time); the subdivision's grid numbers it by
+    its simplex's place in ``pieces``.  The tops are the pieces of the
+    input's tops, so no cover scan finds them, and ``_top_order`` orders
+    them on integers: by the ranks of their centers' rows, sorted once.
     """
-    if centers is None:
-        centers = {s.key: s.barycenter() for s in complex_.simplices}
-    keys, dim = list(centers), complex_.dim
-    nums = scale_common([c for key in keys for c in centers[key]])[0]
-    rows = [nums[i:i + dim] for i in range(0, len(nums), dim)]
-    number = {keys[i]: n for n, i in
-              enumerate(sorted(range(len(keys)), key=rows.__getitem__))}
-    del nums, rows  # freed before the cells are made, at the peak
+    grid = complex_._grid
+    if grid is None:
+        grid = complex_._grid = _Grid.of(complex_)
+    faces = sorted(complex_.simplices, key=operator.attrgetter("rank"))
+    scale = math.lcm(*range(1, complex_.rank + 1))
+    rows, centers = [], []
+    for face in faces:
+        ids = grid.ids[face.key]
+        sums = tuple(map(sum, zip(*[grid.rows[i] for i in ids])))
+        rows.append(tuple(s * (scale // len(ids)) for s in sums))
+        den = grid.den * len(ids)
+        centers.append(tuple(RAT(s, den) for s in sums))
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    number = [0] * len(order)
+    for n, p in enumerate(order):
+        number[p] = n
     top_keys = {top.key for top in complex_.tops()}
-    pieces, cells, tops = {}, [], []
-    for key, chains in _chains(complex_, centers).items():
+    chains = _chains([grid.ids[face.key] for face in faces],
+                     [frozenset([center]) for center in centers])
+    pieces, cells, ids, tops = {}, [], {}, []
+    for face, face_chains in zip(faces, chains):
         own = []
-        for chain, cell_key in chains:
-            cell = Simplex.trusted([centers[f] for f in chain], cell_key)
+        for chain, cell_key in face_chains:
+            cell = Simplex.trusted([centers[p] for p in chain], cell_key)
             cells.append(cell)
-            if len(chain) == len(key):
+            ids[cell_key] = chain
+            if len(chain) == face.rank:
                 own.append(cell)
-                if key in top_keys:
-                    tops.append((sorted(number[f] for f in chain), cell))
-        pieces[key] = tuple(own)
+                if face.key in top_keys:
+                    tops.append((sorted(number[p] for p in chain), cell))
+        pieces[face.key] = tuple(own)
+    del chains  # freed before the complex is made, at the peak
     sub = SimplicialComplex(cells, close=False)
     sub._tops = [cell for _, cell in sorted(tops, key=lambda t: t[0])]
+    sub._vertices = [centers[p] for p in order]
+    sub._grid = _Grid(grid.den * scale, rows, ids)
     return sub, pieces
 
 
@@ -283,6 +350,8 @@ class SubdividedComplex:
         self.pieces = []  # pieces[i]: simplex key of level i -> its pieces
         self.origins = {tuple(v): frozenset([tuple(v)])
                         for v in base.vertices()}
+        self._meshes = [None]  # squared mesh of each level, once computed
+        self._final_origins = None  # by vertex id of a subdivided final
 
     @property
     def base(self):
@@ -299,19 +368,34 @@ class SubdividedComplex:
     def refine(self, steps=1):
         """Subdivide ``steps`` times.  A center's origin is its simplex's
         key on the base level and, later, the origin of the simplex's last
-        vertex, which in chain order holds the others'."""
+        vertex, which in chain order holds the others'; it is read by
+        vertex id, and the center's id is its simplex's place in the
+        pieces.  The entry of ``origins`` is made from the key of the
+        center's vertex cell: ``dict.fromkeys`` of a set reuses the hash
+        the set stores, so no center is hashed for it."""
         for _ in range(steps):
             current = self.levels[-1]
-            centers = {}
-            for s in current.simplices:
-                center = s.barycenter()
-                centers[s.key] = center
-                self.origins[center] = (self.origins[s.vertices[-1]]
-                                        if self.pieces else s.key)
-            nxt, pieces = bsd_with_parents(current, centers)
+            nxt, pieces = bsd_with_parents(current)
+            known, ids = self._final_origins, current._grid.ids
+            by_id = [key if known is None else known[ids[key][-1]]
+                     for key in pieces]
+            for key, chain in nxt._grid.ids.items():
+                if len(chain) == 1:
+                    self.origins.update(dict.fromkeys(key, by_id[chain[0]]))
+            self._final_origins = by_id
             self.levels.append(nxt)
             self.pieces.append(pieces)
+            self._meshes.append(None)
         return self
+
+    def mesh_sq(self):
+        """The final level's squared mesh, computed once: by
+        ``max_diameter_sq`` on the base, and from the integer rows of
+        its edges on a subdivided level."""
+        if self._meshes[-1] is None:
+            self._meshes[-1] = (self.final._grid.mesh_sq() if self.depth
+                                else max_diameter_sq(self.final))
+        return self._meshes[-1]
 
     def refine_until(self, delta):
         """Refine until every simplex has diameter below ``delta``.
@@ -325,7 +409,7 @@ class SubdividedComplex:
         r = self.final.rank
         if r == 1:
             return 0
-        mesh = max_diameter_sq(self.final)
+        mesh = self.mesh_sq()
         cap = _subdivision_cap(r, mesh, delta_sq)
         m = 0
         while mesh >= delta_sq:
@@ -335,7 +419,7 @@ class SubdividedComplex:
                     f"diameter < {delta}")
             self.refine()
             m += 1
-            mesh = max_diameter_sq(self.final)
+            mesh = self.mesh_sq()
         return m
 
     def root(self, simplex):

@@ -142,3 +142,17 @@ def test_sqdist_exact():
     assert sqdist((F(1, 2), 0), (0, F(1, 2))) == F(1, 2)
 
 
+def test_contains_memo_is_made_at_the_first_call():
+    # most cells of a subdivision never answer a membership query, so a
+    # simplex holds no memo until it does; the memo keeps each verdict
+    tri = Simplex([(0, 0), (2, 0), (0, 2)])
+    cell = Simplex.trusted(tri.vertices)
+    assert tri._contains_cache is None and cell._contains_cache is None
+    points = [(F(1, 2), F(1, 2)), (F(2), F(1)), (F(0), F(2)), (F(1, 2), 3)]
+    for x in points + points:
+        assert cell.contains(x) == (not isinstance(tri.barycentric(x),
+                                                   Outside))
+    assert cell._contains_cache == {(F(1, 2), F(1, 2)): True,
+                                    (F(2), F(1)): False,
+                                    (F(0), F(2)): True,
+                                    (F(1, 2), F(3)): False}

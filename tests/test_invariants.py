@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ascolim import approximation, linalg
+from ascolim import approximation, geometry, linalg, rats, simplicial
 from ascolim.approximation import (BoundTheta, Constraint, EngineConfig,
                                    NeighborhoodSpec, ThetaEngine, bake_on,
                                    simultaneous_approximation)
@@ -415,7 +415,8 @@ def test_subdivision_hashes_each_new_center_once(monkeypatch):
     # of the centers, so the subdivision of one rank-5 simplex in R^6
     # hashes each of its 31 centers once (keys built from vertex tuples
     # took 21,606 Fraction hashes), and three refinements of two
-    # triangles make 1,804 (9,098 with tuple keys)
+    # triangles make at most 1,804 (9,098 with tuple keys; 670 since
+    # origins are read by vertex id and entered from the key sets)
     rng = random.Random(5)
     while True:
         try:
@@ -437,6 +438,27 @@ def test_subdivision_hashes_each_new_center_once(monkeypatch):
     tree = SubdividedComplex(base).refine(3)
     assert 0 < calls["__hash__"] <= 1_804
     assert len(tree.final.tops()) == 2 * 6 ** 3
+
+
+def test_refine_until_takes_later_meshes_from_integer_rows(monkeypatch):
+    # machine-independent budget on two triangles: refine_until measures
+    # the start level on its two tops and every later level on the
+    # integer rows its subdivision carries, so it rescales coordinates
+    # once for the base grid and twice for the start tops (when every
+    # level's mesh was taken top by top and every center by its own
+    # mean, it made 518 diameter_sq and 810 scale_common calls)
+    base = SimplicialComplex([Simplex([(0, 0), (2, 0), (0, 2)]),
+                              Simplex([(2, 0), (0, 2), (2, 2)])])
+    calls = {"diameter_sq": 0, "scale_common": 0}
+    for owner in (geometry, simplicial):
+        _count_calls(monkeypatch, calls, owner, "diameter_sq")
+    for owner in (rats, geometry, simplicial):
+        _count_calls(monkeypatch, calls, owner, "scale_common")
+    tree = SubdividedComplex(base)
+    levels = tree.refine_until(F(3, 5))
+    assert levels == 3 and tree.mesh_sq() == F(233, 729)
+    assert calls["diameter_sq"] == len(base.tops()) == 2
+    assert 0 < calls["scale_common"] <= levels + 1
 
 
 def test_pi1_experiment_report():

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from ascolim.errors import InputError
 from ascolim.geometry import Simplex, combine, diameter_sq, sqdist, vsub
 from ascolim.simplicial import (SimplicialComplex, SubcomplexCarrier,
-                                SubdividedComplex, _subdivision_cap,
-                                _top_order,
+                                SubdividedComplex, _chains,
+                                _subdivision_cap, _top_order,
                                 barycentric_subdivide, bsd_with_parents,
                                 max_diameter_sq, prism_end_carrier,
                                 relative_volumes, subdivide_until,
@@ -537,3 +537,94 @@ def test_refined_tree_keys_order_and_origins_are_the_definitions():
                 *(origins[v] for v in s.vertices))
     assert tree.origins == origins
     assert len(origins) == len(tree.final.vertices())
+
+
+# -- the integer grid of each level against brute force ---------------------
+
+
+def _by_rank(level):
+    return sorted(level.simplices, key=lambda s: s.rank)
+
+
+def _scanned_chains(faces, marks):
+    """``_chains`` by a scan of every earlier face for the subfaces."""
+    sets = [set(face) for face in faces]
+    out = []
+    for p, face in enumerate(sets):
+        out.append([((p,), marks[p])] + [
+            (ch + (p,), key | marks[p])
+            for q in range(p) if sets[q] < face for ch, key in out[q]])
+    return out
+
+
+def _scanned_pieces(level):
+    """Each simplex's maximal chains of faces, found by a scan of every
+    earlier face, as tuples of the faces' means."""
+    ending = {}
+    for face in _by_rank(level):
+        ending[face.key] = [(face,)] + [
+            ch + (face,) for sub in ending if sub < face.key
+            for ch in ending[sub]]
+    return [(key, [tuple(combine(f.vertices, [F(1, f.rank)] * f.rank)
+                         for f in ch) for ch in chains if len(ch) == len(key)])
+            for key, chains in ending.items()]
+
+
+def _check_grid(tree):
+    """Every level's integer rows, edge mesh, chains and pieces."""
+    for depth, level in enumerate(tree.levels):
+        grid = level._grid
+        assert set(grid.ids) == {s.key for s in level.simplices}
+        for s in level.simplices:
+            assert tuple(tuple(F(c, grid.den) for c in grid.rows[i])
+                         for i in grid.ids[s.key]) == s.vertices
+        mesh = max(diameter_sq(t) for t in level.tops())
+        assert grid.mesh_sq() == mesh
+        if depth < tree.depth:
+            faces = [grid.ids[s.key] for s in _by_rank(level)]
+            marks = [frozenset([p]) for p in range(len(faces))]
+            assert _chains(faces, marks) == _scanned_chains(faces, marks)
+            assert [(key, [c.vertices for c in cells]) for key, cells
+                    in tree.pieces[depth].items()] == _scanned_pieces(level)
+
+
+#: levels of refinement per rank, so that the finest level stays small
+LEVELS = {2: 3, 3: 3, 4: 2, 5: 1}
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+@settings(derandomize=True, database=None, max_examples=4, deadline=None)
+@given(data=st.data())
+def test_each_level_keeps_exact_integer_rows_and_ids(rank, data):
+    verts = data.draw(st.lists(st.tuples(*[COORDS] * 6), min_size=rank,
+                               max_size=rank))
+    try:
+        sx = Simplex(verts)
+    except InputError:
+        assume(False)
+    cells = [sx]
+    if data.draw(st.booleans()):
+        # the mirror image of one vertex through the opposite facet's
+        # center spans a neighbour that meets sx in that facet
+        i = data.draw(st.integers(0, rank - 1))
+        facet = sx.vertices[:i] + sx.vertices[i + 1:]
+        center = combine(facet, [F(1, rank - 1)] * (rank - 1))
+        cells.append(Simplex(facet + (tuple(
+            2 * c - v for c, v in zip(center, sx.vertices[i])),)))
+    tree = SubdividedComplex(SimplicialComplex(cells))
+    for _ in range(LEVELS[rank]):
+        tree.refine()
+        assert tree.mesh_sq() == max(diameter_sq(t)
+                                     for t in tree.final.tops())
+    _check_grid(tree)
+
+
+def test_mixed_complex_keeps_exact_integer_rows_and_ids():
+    # the shared edge runs one way in each triangle's vertex order
+    base = SimplicialComplex([Simplex([(0, 0), (2, 0), (0, 2)]),
+                              Simplex([(0, 2), (2, 0), (2, 2)]),
+                              Simplex([(2, 2), (3, 3)])])
+    tree = SubdividedComplex(base).refine(3)
+    _check_grid(tree)
+    assert tree.final.vertices() == sorted(
+        {v for s in tree.final.simplices for v in s.vertices})
