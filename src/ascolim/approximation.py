@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 
 from ascolim.errors import (AbsorptionError, ChartCoverError, InputError,
                             ResolutionExceededError)
@@ -29,7 +30,7 @@ from ascolim.filtered_spaces import (CompactSample, identity_chart,
 from ascolim.geometry import (Outside, Simplex, affine_lipschitz_sq_bound,
                               combine, mean, sqdist, sqdist_point_simplex)
 from ascolim.plmaps import FuncMap, PLMap, as_evaluator
-from ascolim.rats import RAT, to_rat
+from ascolim.rats import RAT, scale_common, to_rat
 from ascolim.regions import (ClosedBall, CoordinatePlaneComplement,
                              FullSpace, HalfSpace, Intersection, OpenBall,
                              Region, Translate, region_subset)
@@ -124,13 +125,13 @@ class NeighborhoodSpec:
         return len(self.constraints)
 
     def check_map(self, complex_, evaluator, rng=None, samples=2, *,
-                  _verdicts=None):
+                  _table=None):
         """Membership of a map, constraint by constraint.
 
         Cell images are checked exactly through hull containment where
         the region algebra decides; anything undecidable falls back to
         seeded barycentric sampling.  Returns ``(ok, details)``.
-        ``_verdicts`` is private to ``_certify_grid``.
+        ``_table`` is private to ``_certify_grid``.
         """
         rng = rng or random.Random(0)
         fn = as_evaluator(evaluator)
@@ -138,7 +139,7 @@ class NeighborhoodSpec:
         ok = True
         for i, con in enumerate(self.constraints):
             verdict, mode = _check_constraint(complex_, fn, con, rng,
-                                              samples, i, _verdicts)
+                                              samples, i, _table)
             details.append({"constraint": i, "ok": verdict, "mode": mode})
             ok = ok and verdict
         return ok, details
@@ -155,14 +156,17 @@ def _is_pl(fn):
     return isinstance(fn, PLMap)
 
 
-def _image_inside(region, fn, cell, hull_ok, rng, samples):
+def _image_inside(region, fn, cell, hull_ok, rng, samples, values=None):
     """Does ``fn`` map the simplex ``cell`` into ``region``?
 
-    The exact hull test when ``hull_ok`` and the region algebra decides;
-    otherwise the vertex images plus ``samples`` seeded probes drawn from
-    ``rng``.  Returns ``(verdict, decided_by_hull)``.
+    ``values`` are the vertex images when the caller has them; otherwise
+    ``fn`` gives them.  The exact hull test when ``hull_ok`` and the
+    region algebra decides; otherwise the vertex images plus ``samples``
+    seeded probes drawn from ``rng``.  Returns ``(verdict,
+    decided_by_hull)``.
     """
-    values = _map_values(fn, cell)
+    if values is None:
+        values = _map_values(fn, cell)
     got = region.contains_hull(values) if hull_ok else None
     if got is not None:
         return got, True
@@ -175,36 +179,42 @@ def _image_inside(region, fn, cell, hull_ok, rng, samples):
     return True, False
 
 
-def _check_constraint(complex_, fn, con, rng, samples, index, verdicts):
+def _check_constraint(complex_, fn, con, rng, samples, index, table):
     """Membership in one ``image of K inside W`` constraint, the one at
     ``index`` in its spec.
 
     Only the image of K matters, so the cell-image check runs over the
-    cells ``_subset_cells`` gives.  ``verdicts`` is None or ``(reused,
-    ids, subsets)`` from ``_certify_grid``; only grid tops have ``ids``,
-    so the verdicts of other cells are never reused, and ``subsets``
-    keeps each constraint's cells for the next slice.
+    cells ``_subset_cells`` gives.  ``table`` is None or ``(column, at,
+    reused, subsets)`` from ``_certify_grid``: ``fn`` is then the PL map
+    of the grid through the vertex values ``column``, and ``at`` holds the
+    column indices of each grid top's vertices, so a top's values are read
+    from the column and its hull verdict is reused where those values are
+    the same objects.  Other cells are evaluated through ``fn`` and their
+    verdicts are never reused.  ``subsets`` keeps each constraint's cells
+    for the next slice.
     """
     if isinstance(con.subset, CompactSample):
         return all(con.region.contains(fn(p))
                    for p in con.subset.points), "exact"
-    reused, ids, subsets = verdicts or ({}, {}, {})
+    column, at, reused, subsets = table or (None, {}, {}, {})
     if con.subset == "all":
         subsets[index] = complex_.tops(), True
     elif index not in subsets:
         subsets[index] = _subset_cells(complex_, con.subset)
     cells, affine = subsets[index]
-    hull_ok = affine and _is_pl(fn)
+    hull_ok = affine and (table is not None or _is_pl(fn))
     exact = True
     for cell in cells:
-        value_ids = ids.get(id(cell))
-        key = (index, id(cell), value_ids)
-        ok = reused.get(key) if value_ids else None
+        indices = at.get(id(cell))
+        values = None if indices is None else [column[i] for i in indices]
+        key = None if values is None else (index, id(cell),
+                                           tuple(map(id, values)))
+        ok = reused.get(key)
         by_hull = ok is not None
         if not by_hull:
             ok, by_hull = _image_inside(con.region, fn, cell, hull_ok, rng,
-                                        samples)
-            if by_hull and value_ids:
+                                        samples, values)
+            if by_hull and key is not None:
                 reused[key] = ok
         if not ok:
             return False, "exact" if by_hull else "sampled"
@@ -368,41 +378,45 @@ class ThetaEngine:
         return SubdividedComplex(self.tree.final).refine(
             self.config.bake_level).final
 
-    def theta(self, session, x, ts, start=None):
+    def theta(self, session, x, ks, den, start=None):
         """Values of the homotopy at ``x`` for the bound map, one per time
-        of the tuple ``ts``, from one descent: the location of ``x``, its
-        cone decomposition, ``gamma(x)``, ``gamma(y)`` and the anchor value
-        serve every time.  The times ``t <= 1/2`` get the blend; the others
-        go to the sub-engine as one tuple of ``2t - 1``.  A repeated value
-        is one object, computed once (a rank-1 engine, a frozen top,
-        ``t <= 1/2`` on the skeleton, the fill of each sub-engine value).
+        ``k/den`` of the integer tuple ``ks``, from one descent: the
+        location of ``x``, its cone decomposition, ``gamma(x)``,
+        ``gamma(y)`` and the anchor value serve every time.  The times
+        ``t <= 1/2`` get the blend; the others go to the sub-engine as the
+        integers ``2k - den``, over the same ``den``, so the denominator
+        never changes down the rank induction.  A repeated value is one
+        object, computed once (a rank-1 engine, a frozen top, ``t <= 1/2``
+        on the skeleton, the fill of each sub-engine value).
 
         ``start`` is a base simplex holding ``x`` and the coordinates of
         ``x`` in it, as an outer engine found them: a lower-rank final top,
         the positive-coordinate face of a top, or a cone exit face."""
         gamma = session.gamma
         if self.rank == 1:
-            return (tuple(gamma(x)),) * len(ts)
+            return (tuple(gamma(x)),) * len(ks)
         hit = self.tree.locate_final(x, start)
         if hit is None:
             raise InputError(f"point {x!r} outside the engine domain")
         top, coords = hit
         if top.rank == self.rank and all(c > 0 for c in coords):
             if top.key in self.frozen_keys:
-                return (tuple(gamma(x)),) * len(ts)
-            return self._interior(session, top, x, coords, ts)
+                return (tuple(gamma(x)),) * len(ks)
+            return self._interior(session, top, x, coords, ks, den)
         if top.rank == self.rank:
             # on the skeleton: both branch definitions agree there
             face = Simplex.trusted(
                 [v for v, c in zip(top.vertices, coords) if c > 0])
             hit = (face, tuple(c for c in coords if c > 0))
-        return _by_half(ts, lambda ss: (tuple(gamma(x)),) * len(ss),
-                        lambda ss: self.sub.theta(session, x, ss, hit))
+        return _by_half(ks, den, lambda ws: (tuple(gamma(x)),) * len(ws),
+                        lambda ws: self.sub.theta(session, x, ws, den, hit))
 
-    def _interior(self, session, top, x, coords, ts):
-        """Values at ``x`` inside a free top, with barycentric ``coords``:
-        the blend of ``gamma`` into its filled boundary extension, then the
-        filled extensions of the sub-engine's slices.
+    def _interior(self, session, top, x, coords, ks, den):
+        """Values at ``x`` inside a free top, with barycentric ``coords``,
+        at the times ``k/den``: the blend of ``gamma`` into its filled
+        boundary extension, then the filled extensions of the sub-engine's
+        slices.  The cone weight ``cd.t`` enters ``_lerps`` as its own
+        numerator over its own denominator.
 
         The anchor is a vertex of every finer complex, where every slice
         keeps ``gamma``'s value (property (h)), so one ``gamma(anchor)``
@@ -415,46 +429,64 @@ class ThetaEngine:
             session.cache[key] = tuple(session.gamma(self.anchors[top.key]))
         anchor_val = session.cache[key]
         y = None if cd.t == 1 else cd.boundary_point(top)
+        cone = (cd.t.numerator,), cd.t.denominator
 
-        def early(ss):
+        def early(ws):
             filled = anchor_val if y is None else _lerps(
-                (cd.t,), anchor_val, tuple(session.gamma(y)))[0]
-            return _lerps([1 - s for s in ss], tuple(session.gamma(x)),
-                          filled)
+                *cone, anchor_val, tuple(session.gamma(y)))[0]
+            return _lerps([den - w for w in ws], den,
+                          tuple(session.gamma(x)), filled)
 
-        def late(ss):
+        def late(ws):
             if y is None:
-                return (anchor_val,) * len(ss)
+                return (anchor_val,) * len(ws)
             face = Simplex.trusted([top.vertices[i] for i in cd.indices])
-            subs = self.sub.theta(session, y, ss, (face, cd.exit_weights()))
+            subs = self.sub.theta(session, y, ws, den,
+                                  (face, cd.exit_weights()))
             filled = {id(v): v for v in subs}
-            filled = {k: _lerps((cd.t,), anchor_val, v)[0]
+            filled = {k: _lerps(*cone, anchor_val, v)[0]
                       for k, v in filled.items()}
             return tuple(filled[id(v)] for v in subs)
 
-        return _by_half(ts, early, late)
+        return _by_half(ks, den, early, late)
 
 
-def _by_half(ts, early, late):
-    """One value per time of ``ts``, in order: ``early`` gives the values
-    of the times ``t <= 1/2`` from the tuple of their ``2t``, ``late``
-    those of the others from the tuple of their ``2t - 1``.  Neither runs
-    on an empty tuple."""
-    lo = tuple(2 * t for t in ts if 2 * t <= 1)
-    hi = tuple(2 * t - 1 for t in ts if 2 * t > 1)
+def _by_half(ks, den, early, late):
+    """One value per time ``k/den`` of ``ks``, in order: ``early`` gives
+    the values of the times ``2k <= den`` from the tuple of their ``2k``,
+    ``late`` those of the others from the tuple of their ``2k - den``;
+    both are times over the same ``den``.  Neither runs on an empty
+    tuple."""
+    lo = tuple(2 * k for k in ks if 2 * k <= den)
+    hi = tuple(2 * k - den for k in ks if 2 * k > den)
     lo, hi = iter(early(lo) if lo else ()), iter(late(hi) if hi else ())
-    return tuple(next(lo) if 2 * t <= 1 else next(hi) for t in ts)
+    return tuple(next(lo) if 2 * k <= den else next(hi) for k in ks)
 
 
-def _lerps(ws, a, b):
-    """``w*a + (1 - w)*b`` per weight of ``ws``, as ``b + w*(a - b)`` on
-    the coordinates where ``a`` and ``b`` differ; a value equal to ``a``
-    or ``b`` is that very object, with no arithmetic."""
+def _lerps(ws, den, a, b):
+    """``(w*a + (den - w)*b) / den`` per integer weight ``w`` of ``ws``,
+    with ``0 <= w <= den``.  Each coordinate is put over one denominator
+    once, so a value's coordinate is one ``Fraction(base + w*step, D)``,
+    or ``b``'s own where ``a`` and ``b`` agree (``step == 0``).  The
+    value at ``w == den`` is the object ``a``, at ``w == 0`` the object
+    ``b``, and a repeated weight gives one object; when ``a == b`` every
+    value is ``a``."""
     if a == b:
         return (a,) * len(ws)
-    diff = [p - q if p != q else 0 for p, q in zip(a, b)]
-    return tuple(a if w == 1 else b if w == 0 else tuple(
-        q + w * d if d else q for q, d in zip(b, diff)) for w in ws)
+    bases, steps, dens = [], [], []
+    for p, q in zip(a, b):
+        m = lcm(p.denominator, q.denominator)
+        base = q.numerator * (m // q.denominator)
+        bases.append(base * den)
+        steps.append(p.numerator * (m // p.denominator) - base)
+        dens.append(m * den)
+    made = {den: a, 0: b}
+    for w in ws:
+        if w not in made:
+            made[w] = tuple(
+                RAT(base + w * step, D) if step else q
+                for q, base, step, D in zip(b, bases, steps, dens))
+    return tuple(made[w] for w in ws)
 
 
 class BoundTheta:
@@ -473,7 +505,12 @@ class BoundTheta:
         self.cache = {}
 
     def values(self, x, ts):
-        return self.engine.theta(self, tuple(x), tuple(map(to_rat, ts)))
+        ts = tuple(map(to_rat, ts))
+        ks, den = scale_common(ts)
+        for t, k in zip(ts, ks):
+            if not 0 <= k <= den:
+                raise InputError(f"time {t} outside [0, 1]")
+        return self.engine.theta(self, tuple(x), ks, den)
 
     def __call__(self, x, t):
         return self.values(x, (t,))[0]
@@ -491,29 +528,44 @@ def bake_on(complex_, column):
 def _certify_grid(engine, rows, ts, seed):
     """Check the time slices ``ts`` against the engine's spec; ``rows``
     holds the values at the times ``ts`` per grid vertex, in ``vertices()``
-    order.  Slice ``k`` is baked from column ``k`` and checked in full with
-    a fresh ``random.Random(seed)``; one ``{"t", "ok", "details"}`` report
-    per slice.  A hull-decided verdict on a constraint and a grid top is
-    reused in a later slice whose values at the top's vertices are the
-    very same objects (``rows`` holds them, so no id is reused): the hull
-    test would get the same exact input and draws nothing from the rng.
-    Sampled verdicts and those of cells other than grid tops are not
+    order.  Slice ``k`` is the PL map of the grid through column ``k``,
+    checked in full with a fresh ``random.Random(seed)``; one ``{"t",
+    "ok", "details"}`` report per slice.  A grid top's vertex values are
+    read from the column by the indices found here once, so the slice's
+    ``PLMap`` is baked only when a constraint needs a value the column does
+    not hold (a ``CompactSample`` point, a sampled probe, a cell other
+    than a grid top).  A hull-decided verdict on a constraint and a grid
+    top is reused in a later slice whose values at the top's vertices are
+    the very same objects (``rows`` holds them, so no id is reused): the
+    hull test would get the same exact input and draws nothing from the
+    rng.  Sampled verdicts and those of cells other than grid tops are not
     reused.  A face constraint's cells are found once for all slices.
     """
     grid = engine.grid_complex
     order = {v: i for i, v in enumerate(grid.vertices())}
-    tops = [(id(top), [order[v] for v in top.vertices])
-            for top in grid.tops()]
+    at = {id(top): [order[v] for v in top.vertices] for top in grid.tops()}
     reused, subsets = {}, {}
     reports = []
     for k, t in enumerate(ts):
         column = [row[k] for row in rows]
-        ids = {top: tuple(id(column[i]) for i in at) for top, at in tops}
         ok, details = engine.spec.check_map(
-            grid, bake_on(grid, column), rng=random.Random(seed),
-            _verdicts=(reused, ids, subsets))
+            grid, _baked_when_called(grid, column), rng=random.Random(seed),
+            _table=(column, at, reused, subsets))
         reports.append({"t": str(t), "ok": ok, "details": details})
     return reports
+
+
+def _baked_when_called(grid, column):
+    """The PL map of ``grid`` through ``column``, baked at its first
+    call."""
+    baked = []
+
+    def fn(x):
+        if not baked:
+            baked.append(bake_on(grid, column))
+        return baked[0](x)
+
+    return fn
 
 
 # -- engine construction ------------------------------------------------------
@@ -931,8 +983,9 @@ def individual_approximation(complex_, gamma0, spec, relative, model,
 
         def values(x, ts):
             # the linear identity of BoundTheta, for the pushed map
-            return tuple(_lerps((1 - to_rat(t),), a, b)[0] for t, a, b
-                         in zip(ts, start.values(x, ts), end.values(x, ts)))
+            ks, den = scale_common(tuple(map(to_rat, ts)))
+            return tuple(_lerps((den - k,), den, a, b)[0] for k, a, b
+                         in zip(ks, start.values(x, ts), end.values(x, ts)))
 
     ts = tuple(RAT(k, config.t_grid) for k in range(config.t_grid + 1))
     rows = [values(v, ts) for v in engine.grid_complex.vertices()]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from ascolim import linalg
 from ascolim.errors import InputError
 from ascolim.geometry import as_point, dot, sqdist, vadd, vsub
-from ascolim.rats import RAT, to_rat
+from ascolim.rats import RAT, scale_common, to_rat
 
 
 class Region:
@@ -32,7 +32,8 @@ class Region:
         """Exact containment of ``conv(points)`` where decidable.
 
         Convex regions decide by the vertices alone; the plane complement
-        decides by an exact feasibility test.  ``None`` means sample.
+        decides by a separating direction or an exact feasibility test.
+        ``None`` means sample.
         """
         if self.is_convex:
             return all(self.contains(p) for p in points)
@@ -157,10 +158,21 @@ class CoordinatePlaneComplement(Region):
         return x[self.i] != 0 or x[self.j] != 0
 
     def contains_hull(self, points):
+        """Does ``conv(points)`` avoid the plane?  By Farkas' lemma it does
+        exactly when some ``y`` has ``y.q_k > 0`` for the projection
+        ``q_k`` of every point to the coordinates ``(i, j)``.  The sum
+        ``y = sum(q_k)`` is tried first, on the projections scaled once to
+        integers; the inequality is strict, so a point on the plane never
+        passes it.  When it fails, ``linalg.solve_nonneg`` decides whether
+        a convex combination of the ``q_k`` is the origin."""
         pts = list(points)
-        rows = [[p[self.i] for p in pts],
-                [p[self.j] for p in pts],
-                [RAT(1)] * len(pts)]
+        qi, qj = [p[self.i] for p in pts], [p[self.j] for p in pts]
+        ints, _ = scale_common(qi + qj)
+        ni, nj = ints[:len(pts)], ints[len(pts):]
+        yi, yj = sum(ni), sum(nj)
+        if all(yi * a + yj * b > 0 for a, b in zip(ni, nj)):
+            return True
+        rows = [qi, qj, [RAT(1)] * len(pts)]
         rhs = [RAT(0), RAT(0), RAT(1)]
         return linalg.solve_nonneg(rows, rhs) is None
 

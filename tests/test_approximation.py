@@ -5,13 +5,15 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ascolim import approximation
 from ascolim.approximation import (BoundTheta, Constraint, EngineConfig,
-                                   NeighborhoodSpec, SamplingPlan,
+                                   NeighborhoodSpec, SamplingPlan, _by_half,
                                    _cell_regions_for, _certify_grid,
                                    _constraints_by_face, _flatten_region,
-                                   bake_on,
+                                   _lerps, bake_on,
                                    individual_approximation,
                                    simultaneous_approximation,
                                    verify_theta_properties)
@@ -707,3 +709,65 @@ def test_push_radius_decides_the_closed_ball_in_the_core(core, center,
     eps = F(radius or 1)
     assert approximation._epsilon_ok(eps, moved, [(0,)], engine, gamma,
                                      None) is inside
+
+
+@st.composite
+def integer_times(draw):
+    """A denominator and a tuple of times ``k/den`` in ``[0, 1]``, with
+    both ends and repeats likely."""
+    den = draw(st.integers(1, 64))
+    ks = draw(st.lists(st.one_of(st.sampled_from((0, den)),
+                                 st.integers(0, den)), max_size=8))
+    return tuple(ks), den
+
+
+@st.composite
+def point_pairs(draw):
+    """Two points with rational coordinates, some of them shared."""
+    scalar = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    a = draw(st.lists(scalar, min_size=1, max_size=5))
+    b = [p if draw(st.booleans()) else draw(scalar) for p in a]
+    return tuple(a), tuple(b)
+
+
+@settings(derandomize=True, database=None, max_examples=200,
+          deadline=None)
+@given(integer_times(), point_pairs())
+def test_lerps_equals_the_fraction_blend(times, points):
+    # every coordinate is b + (k/den)*(a - b); the ends are the objects a
+    # and b, and a repeated weight is one object
+    ks, den = times
+    a, b = points
+    got = _lerps(ks, den, a, b)
+    assert len(got) == len(ks)
+    for k, value in zip(ks, got):
+        assert value == tuple(q + F(k, den) * (p - q) for p, q in zip(a, b))
+        if a == b:
+            assert value is a
+        elif k in (0, den):
+            assert value is (a if k == den else b)
+    for k, value in zip(ks, got):
+        assert value is got[ks.index(k)]
+
+
+@settings(derandomize=True, database=None, max_examples=200,
+          deadline=None)
+@given(integer_times())
+def test_by_half_splits_as_the_fraction_rule(times):
+    # t = k/den goes early with 2t when 2t <= 1, else late with 2t - 1;
+    # both over den, in the order of ks, and no side runs on nothing
+    ks, den = times
+    calls = []
+
+    def side(name):
+        def run(ws):
+            calls.append((name, ws))
+            return tuple((name, F(w, den)) for w in ws)
+        return run
+
+    got = _by_half(ks, den, side("early"), side("late"))
+    ts = [F(k, den) for k in ks]
+    assert got == tuple(("early", 2 * t) if 2 * t <= 1 else
+                        ("late", 2 * t - 1) for t in ts)
+    assert all(ws and all(0 <= w <= den for w in ws) for _, ws in calls)
+    assert len(calls) == len({name for name, _ in calls})

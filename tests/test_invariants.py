@@ -117,6 +117,32 @@ def test_push_radius_of_the_perturbed_loop():
                                          engine, gamma, base)
 
 
+@pytest.fixture(scope="module")
+def leg_records():
+    """The records of a surjectivity leg with pushed anchors and of one
+    with none, on their own engines."""
+    model, probe = perturbed_winding_three()
+    pushed = surjectivity_leg(model, probe, FAST)["record"]
+    model = plane_model(4, [(1, {0, 1}), (2, {0, 1, 2, 3})])
+    plain = surjectivity_leg(model, unit_square_loop(dim=4), FAST)["record"]
+    assert pushed.pushed_points and not plain.pushed_points
+    return pushed, plain
+
+
+@pytest.mark.parametrize("t", [F(-1, 2), F(3, 2), 5])
+def test_homotopy_rejects_times_outside_the_unit_interval(leg_records, t):
+    # the blend extrapolated past gamma at t = -1/2, and the times
+    # t = 3/2 and t = 5 gave the t = 1 value
+    for record in leg_records:
+        top = record.engine.tree.final.tops()[0]
+        x = top.barycenter()
+        assert record.homotopy(x, 1) == tuple(record.eta(x))
+        with pytest.raises(InputError, match="outside"):
+            record.homotopy(x, t)
+        with pytest.raises(InputError, match="outside"):
+            BoundTheta(record.engine, record.start_map).values(x, (0, t))
+
+
 def test_surjectivity_leg_frozen_probe_is_noop():
     model = plane_model(4, [(1, {0, 1}), (2, {0, 1, 2, 3})])
     probe = unit_square_loop(dim=4)
@@ -159,14 +185,23 @@ def test_injectivity_leg_exact_operation_count(monkeypatch):
     # inversions and 7,087 solves when a shared vertex bound it).  The
     # grid check evaluates each grid vertex once for every slice and
     # reuses the hull verdicts of tops whose values did not change: 328
-    # theta calls, 110 cone decompositions, 1,176 plane-complement hull
-    # tests, 1,297 solves and 53,292 hashes (1,384, 474, 1,504, 3,667 and
-    # 68,868 with one engine descent and one hull test per slice)
+    # theta calls, 110 cone decompositions and 1,176 plane-complement hull
+    # tests (1,384, 474 and 1,504 with one engine descent and one hull
+    # test per slice).  Each hull test is decided by the separating
+    # direction sum(q_k), so no solve_nonneg runs (1,176 when each one
+    # did); the grid tops' values are read from the table, not looked up
+    # by coordinate tuple (38,148 hashes when they were); and the times
+    # are integers over one denominator, so the only int * Fraction
+    # products are the cone weights, one per cone decomposition (4,126
+    # when the times were Fractions)
     model, sigma, tau = two_square_pair()
-    calls = {"__hash__": 0, "invert": 0, "barycentric": 0, "theta": 0,
-             "cone_decomposition": 0, "contains_hull": 0}
+    calls = {"__hash__": 0, "__rmul__": 0, "invert": 0, "solve_nonneg": 0,
+             "barycentric": 0, "theta": 0, "cone_decomposition": 0,
+             "contains_hull": 0}
     _count_calls(monkeypatch, calls, Fraction, "__hash__")
+    _count_calls(monkeypatch, calls, Fraction, "__rmul__")
     _count_calls(monkeypatch, calls, linalg, "invert")
+    _count_calls(monkeypatch, calls, linalg, "solve_nonneg")
     _count_calls(monkeypatch, calls, Simplex, "barycentric")
     _count_calls(monkeypatch, calls, ThetaEngine, "theta")
     _count_calls(monkeypatch, calls, approximation, "cone_decomposition")
@@ -174,8 +209,10 @@ def test_injectivity_leg_exact_operation_count(monkeypatch):
                  "contains_hull")
     leg = injectivity_leg(model, sigma, tau, FAST, u_levels=1)
     assert leg["endpoints_frozen"] and leg["grid_ok"] and leg["beta"] == 1
-    assert 0 < calls["__hash__"] <= 55_000
+    assert 0 < calls["__hash__"] <= 26_000
+    assert 0 < calls["__rmul__"] <= 110
     assert 0 < calls["invert"] <= 100
+    assert calls["solve_nonneg"] == 0
     assert 0 < calls["barycentric"] <= 1_400
     assert 0 < calls["theta"] <= 340
     assert 0 < calls["cone_decomposition"] <= 120

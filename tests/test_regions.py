@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ascolim import linalg
 from ascolim.convexity import FinitePointSet, hull_contains
 from ascolim.errors import InputError
 from ascolim.geometry import Simplex, dot
@@ -104,6 +105,66 @@ def test_plane_complement_hull_against_hull_oracle():
         assert got is (not hull_contains(projected, (0, 0)))
         verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def _solves(monkeypatch):
+    """Count ``linalg.solve_nonneg`` calls made through ``regions``."""
+    calls = []
+    original = linalg.solve_nonneg
+    monkeypatch.setattr(linalg, "solve_nonneg",
+                        lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+def test_plane_complement_hull_with_a_point_on_the_plane(monkeypatch):
+    # a vertex on the plane has y.q = 0 for every y, so the strict
+    # separating-direction test never passes it and the walk says False
+    solves = _solves(monkeypatch)
+    pc = CoordinatePlaneComplement(3, 0, 1)
+    for points in ([(1, 0, 5), (0, 0, 3)],
+                   [(2, 1, 0), (0, 0, 0), (1, 3, 1)],
+                   [(0, 0, 1)]):
+        assert pc.contains_hull(points) is False
+    assert len(solves) == 3
+
+
+def test_plane_complement_hull_falls_back_when_the_sum_fails(monkeypatch):
+    # the segment (10, 1)-(-1, 1) stays at height 1, but y = (9, 2) has
+    # y.(-1, 1) = -7: the feasibility walk decides it
+    solves = _solves(monkeypatch)
+    pc = CoordinatePlaneComplement(2, 0, 1)
+    assert pc.contains_hull([(10, 1), (-1, 1)]) is True
+    assert len(solves) == 1
+    assert pc.contains_hull([(F(10, 3), F(1, 3)), (F(1, 2), 1)]) is True
+    assert len(solves) == 1  # y = (23/6, 4/3) separates: no walk
+
+
+def test_plane_complement_hull_matches_the_feasibility_reference(
+        monkeypatch):
+    # on seeded sets every verdict equals solve_nonneg's alone, whichever
+    # of the direction test and the walk decides it
+    solves = _solves(monkeypatch)
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(400):
+        dim = rng.randint(2, 4)
+        i, j = rng.sample(range(dim), 2)
+        pc = CoordinatePlaneComplement(dim, i, j)
+        points = [tuple(F(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+                        for _ in range(dim))
+                  for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.1:
+            p = list(points[0])
+            p[i] = p[j] = F(0)
+            points[0] = tuple(p)
+        before = len(solves)
+        got = pc.contains_hull(points)
+        walked = len(solves) > before
+        rows = [[p[i] for p in points], [p[j] for p in points],
+                [F(1)] * len(points)]
+        assert got is (linalg.solve_nonneg(rows, [F(0), F(0), F(1)]) is None)
+        seen.add((got, walked))
+    assert seen == {(True, False), (True, True), (False, True)}
 
 
 def test_intersection_union_complement():
