@@ -6,17 +6,16 @@ nonnegative coefficients summing to one; ``conv_2(X, Y)`` the segments
 hull is rejected by a checked Farkas certificate (``linalg.farkas``), the
 others by ``linalg.solve_nonneg``; every positive answer carries a
 certificate that is re-verified by plain arithmetic before it is
-returned.  ``hull_contains``, the independent full-hull oracle, runs on
-integer coordinates by fraction-free elimination.
+returned.  ``hull_contains`` decides membership in the full hull, with no
+bound on the terms, by the Farkas test alone.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from ascolim import linalg
 from ascolim.errors import CertificateError, InputError
-from ascolim.geometry import as_point, combine, dot, vsub
-from ascolim.rats import RAT, scale_common
+from ascolim.geometry import as_point, combine, vsub
+from ascolim.rats import RAT
 
 
 class FinitePointSet:
@@ -92,8 +91,8 @@ def conv_n_contains(point_set, n, x):
     hull is rejected by a checked Farkas certificate, the others by one
     exact feasibility search over the supports of at most ``n`` points.
     """
-    if n < 1:
-        raise InputError("n must be at least 1")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InputError(f"n must be an integer of at least 1, got {n!r}")
     if not isinstance(point_set, FinitePointSet):
         point_set = FinitePointSet(point_set)
     x = as_point(x)
@@ -164,8 +163,8 @@ def conv2_with_convn_contains(point_set, n, p):
     certificate.  Returns the verdict plus a witness ``(x, t, q)`` with
     ``p == t*x + (1-t)*q`` when positive.
     """
-    if n < 1:
-        raise InputError("n must be at least 1")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InputError(f"n must be an integer of at least 1, got {n!r}")
     if not isinstance(point_set, FinitePointSet):
         point_set = FinitePointSet(point_set)
     p = as_point(p)
@@ -199,64 +198,20 @@ def conv2_with_convn_contains(point_set, n, p):
     return False, None
 
 
-# -- independent full-hull oracle -------------------------------------------
+# -- full-hull membership ---------------------------------------------------
 
 
 def hull_contains(point_set, x):
-    """Full convex-hull membership via separating-hyperplane enumeration.
+    """Is ``x`` in the convex hull of the set, with no bound on the terms?
 
-    Independent of the feasibility route above: ``x`` is outside the hull
-    iff some hyperplane spanned by points of ``Y`` (within their affine
-    hull) strictly separates it, or ``x`` leaves the affine hull entirely.
-    Scaling the points and ``x`` by their common denominator moves no
-    point across a hyperplane, so the basis and each normal are integer.
+    ``x`` is a convex combination of the points exactly when the lifted
+    system ``[(y, 1)] mu = (x, 1)`` has a solution ``mu >= 0``, which
+    ``linalg.farkas`` decides; a negative verdict is proved by its integer
+    certificate, checked before it is returned.
     """
     if not isinstance(point_set, FinitePointSet):
         point_set = FinitePointSet(point_set)
     x = as_point(x)
-    dim = point_set.dim
-    if len(x) != dim:
+    if len(x) != point_set.dim:
         raise InputError("probe point of wrong dimension")
-    nums = scale_common([c for q in point_set.points + [x] for c in q])[0]
-    *pts, x = [nums[i:i + dim] for i in range(0, len(nums), dim)]
-    base = pts[0]
-    basis = [vsub(q, base) for q in pts[1:]]
-    pivots, det = linalg.fraction_free(basis, dim)
-    del basis[len(pivots):]
-    if not basis:
-        return x == base
-    off = vsub(x, base)  # the basis is det times its reduced echelon form
-    if any(det * off[d] != sum(off[c] * b[d] for c, b in zip(pivots, basis))
-           for d in range(dim)):
-        return False  # x leaves the affine hull
-    # enumerate candidate facet hyperplanes through len(basis) points
-    for support in combinations(range(len(pts)), len(basis)):
-        anchor = pts[support[0]]
-        span = [vsub(pts[i], anchor) for i in support[1:]]
-        normal = _normal_in_hull(span, basis, dim)
-        if normal is None:
-            continue
-        level = dot(normal, anchor)
-        side_x = dot(normal, x) - level
-        if side_x == 0:
-            continue
-        if all((dot(normal, q) - level) * side_x <= 0 for q in pts):
-            return False  # strictly separated
-    return True
-
-
-def _normal_in_hull(span, basis, dim):
-    """An integer vector in the span of the nonempty integer ``basis``,
-    orthogonal to ``span``, or None; a multiple of the rational one."""
-    # normal = sum(a_j * basis_j) with normal . s == 0 for each s in span
-    mat = [[dot(b, s) for b in basis] for s in span]
-    pivots, det = linalg.fraction_free(mat, len(basis))
-    j0 = next((j for j in range(len(basis)) if j not in pivots), None)
-    if j0 is None:
-        return None
-    coeff = [0] * len(basis)
-    coeff[j0] = det
-    for row, c in zip(mat, pivots):
-        coeff[c] = -row[j0]
-    return tuple(sum(a * b[d] for a, b in zip(coeff, basis))
-                 for d in range(dim))
+    return linalg.farkas(_lifted(point_set.points), list(x) + [RAT(1)]) is None

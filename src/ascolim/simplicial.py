@@ -191,15 +191,19 @@ class _Grid:
     ``rows[i] / den`` is vertex ``i``, and ``ids`` maps the key of each
     cell to the numbers of its vertices, in the cell's vertex order.  A
     subdivision's grid comes from the grid below it with no rescaling,
-    and the next subdivision reads its centers from it.
+    and the next subdivision reads its centers from it.  ``edges`` is
+    true when ``ids`` holds every edge of the complex, as a subdivision's
+    grid does (every chain is a cell); a complex made with
+    ``close=False`` may lack some.
     """
 
-    __slots__ = ("den", "rows", "ids")
+    __slots__ = ("den", "rows", "ids", "edges")
 
-    def __init__(self, den, rows, ids):
+    def __init__(self, den, rows, ids, edges=False):
         self.den = den
         self.rows = rows
         self.ids = ids
+        self.edges = edges
 
     @classmethod
     def of(cls, complex_):
@@ -297,7 +301,7 @@ def bsd_with_parents(complex_):
     sub = SimplicialComplex(cells, close=False)
     sub._tops = [cell for _, cell in sorted(tops, key=lambda t: t[0])]
     sub._vertices = [centers[p] for p in order]
-    sub._grid = _Grid(grid.den * scale, rows, ids)
+    sub._grid = _Grid(grid.den * scale, rows, ids, edges=True)
     return sub, pieces
 
 
@@ -307,6 +311,12 @@ def barycentric_subdivide(complex_):
 
 
 def max_diameter_sq(complex_):
+    """The largest squared diameter of a simplex of the complex: read
+    from the integer rows of its edges when its grid holds every edge,
+    else by ``diameter_sq`` of each top."""
+    grid = complex_._grid
+    if grid is not None and grid.edges:
+        return grid.mesh_sq()
     return max(diameter_sq(s) for s in complex_.tops())
 
 
@@ -322,17 +332,6 @@ def _subdivision_cap(rank, d0, delta_sq):
     ratio = ((rank - 1) / rank) ** 2
     return math.ceil((math.log(q.numerator) - math.log(q.denominator))
                      / math.log(ratio)) + 2
-
-
-def subdivide_until(complex_, delta):
-    """Iterate ``bsd`` until every simplex has diameter below ``delta``.
-
-    Returns ``(m, subdivided)`` with ``m`` the first iterate that works
-    (``subdivided is complex_`` when ``m == 0``); see
-    ``SubdividedComplex.refine_until``.
-    """
-    tree = SubdividedComplex(complex_)
-    return tree.refine_until(delta), tree.final
 
 
 class SubdividedComplex:
@@ -389,12 +388,10 @@ class SubdividedComplex:
         return self
 
     def mesh_sq(self):
-        """The final level's squared mesh, computed once: by
-        ``max_diameter_sq`` on the base, and from the integer rows of
-        its edges on a subdivided level."""
+        """The final level's squared mesh (``max_diameter_sq``), computed
+        once."""
         if self._meshes[-1] is None:
-            self._meshes[-1] = (self.final._grid.mesh_sq() if self.depth
-                                else max_diameter_sq(self.final))
+            self._meshes[-1] = max_diameter_sq(self.final)
         return self._meshes[-1]
 
     def refine_until(self, delta):

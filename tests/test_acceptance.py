@@ -158,7 +158,7 @@ def test_criterion_3_convexity_suite():
             lhs = conv2_with_convn_contains(pts, n, probe)[0]
             rhs = conv_n_contains(pts, n + 1, probe)[0]
             ok = ok and lhs == rhs
-    # Caratheodory saturation against the separating-hyperplane oracle
+    # Caratheodory saturation against the full-hull test (the Farkas gate)
     for _ in range(25):
         pts = FinitePointSet([tuple(F(rng.randint(-6, 6), 3)
                                     for _ in range(3))

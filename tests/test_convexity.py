@@ -13,7 +13,7 @@ from ascolim.convexity import (FinitePointSet, conv2_pair_contains,
                                conv2_with_convn_contains, conv_n_contains,
                                hull_contains)
 from ascolim.errors import CertificateError, InputError
-from ascolim.geometry import combine
+from ascolim.geometry import combine, dot, vsub
 
 F = Fraction
 
@@ -60,6 +60,15 @@ def test_half_quarter_point_two_vs_three():
 def test_n_zero_is_input_error():
     with pytest.raises(InputError):
         conv_n_contains(SQUARE, 0, (0, 0))
+
+
+@pytest.mark.parametrize("n", [2.5, F(3, 2), "2", True])
+@pytest.mark.parametrize("oracle", [conv_n_contains,
+                                    conv2_with_convn_contains])
+def test_n_must_be_an_int(oracle, n):
+    square = FinitePointSet([(0, 0), (2, 0), (0, 2), (2, 2)])
+    with pytest.raises(InputError):
+        oracle(square, n, (1, 1))
 
 
 def test_unverified_solutions_raise(monkeypatch):
@@ -145,6 +154,60 @@ def test_convindu_membership_equivalence():
                 assert witness is None
 
 
+def _reduced(rows, width):
+    """The reduced row echelon form of ``rows``, in ``Fraction``s: its
+    nonzero rows and their pivot columns, in step."""
+    rows, done, pivots = [list(map(F, r)) for r in rows], [], []
+    for c in range(width):
+        p = next((r for r in rows if r[c]), None)
+        if p is None:
+            continue
+        rows.remove(p)
+        p = [v / p[c] for v in p]
+        rows = [[a - r[c] * b for a, b in zip(r, p)] for r in rows]
+        done = [[a - r[c] * b for a, b in zip(r, p)] for r in done] + [p]
+        pivots.append(c)
+    return done, pivots
+
+
+def _kernel_vector(rows, width):
+    """A nonzero vector orthogonal to every row, or None."""
+    done, pivots = _reduced(rows, width)
+    free = next((c for c in range(width) if c not in pivots), None)
+    if free is None:
+        return None
+    vec = [F(int(c == free)) for c in range(width)]
+    for row, c in zip(done, pivots):
+        vec[c] = -row[free]
+    return vec
+
+
+def _hull_by_facets(ps, x):
+    """Reference full-hull test, independent of ``linalg``: ``x`` is
+    outside the hull iff it leaves the affine hull of the points, or a
+    hyperplane of that hull through points of the set strictly separates
+    it.  Every facet passes through ``len(basis)`` of the points."""
+    pts, dim = ps.points, ps.dim
+    basis = _reduced([vsub(q, pts[0]) for q in pts[1:]], dim)[0]
+    if len(_reduced(basis + [vsub(x, pts[0])], dim)[0]) > len(basis):
+        return False  # x leaves the affine hull
+    if not basis:
+        return True  # x is the one point
+    for support in combinations(range(len(pts)), len(basis)):
+        anchor = pts[support[0]]
+        coeffs = _kernel_vector(
+            [[dot(b, vsub(pts[i], anchor)) for b in basis]
+             for i in support[1:]], len(basis))
+        if coeffs is None:
+            continue
+        normal = [dot(coeffs, col) for col in zip(*basis)]
+        level = dot(normal, anchor)
+        side = dot(normal, x) - level
+        if side and all((dot(normal, q) - level) * side <= 0 for q in pts):
+            return False  # strictly separated
+    return True
+
+
 def test_caratheodory_saturation_against_hull_oracle():
     rng = random.Random(7)
     for _ in range(15):
@@ -152,8 +215,10 @@ def test_caratheodory_saturation_against_hull_oracle():
         sat = len(ps.points) * (ps.dim + 1)
         for _ in range(15):
             p = _random_probe(rng, ps, 4)
-            assert conv_n_contains(ps, ps.dim + 1, p)[0] == hull_contains(ps, p)
-            assert conv_n_contains(ps, sat, p)[0] == hull_contains(ps, p)
+            full = hull_contains(ps, p)
+            assert full == _hull_by_facets(ps, p)
+            assert conv_n_contains(ps, ps.dim + 1, p)[0] == full
+            assert conv_n_contains(ps, sat, p)[0] == full
 
 
 def test_hull_oracle_low_dimensional_sets():
@@ -207,8 +272,30 @@ def flat_sets(draw):
 @given(flat_sets())
 def test_hull_oracle_is_conv_of_dim_plus_one(case):
     ps, probe = case
-    assert hull_contains(ps, probe) \
-        == conv_n_contains(ps, ps.dim + 1, probe)[0]
+    full = hull_contains(ps, probe)
+    assert full == _hull_by_facets(ps, probe)
+    assert full == conv_n_contains(ps, ps.dim + 1, probe)[0]
+
+
+def test_hull_contains_makes_one_farkas_call(monkeypatch):
+    calls = []
+
+    def counting(name):
+        real = getattr(linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("farkas", "solve_nonneg", "fraction_free"):
+        monkeypatch.setattr(linalg, name, counting(name))
+    flat = FinitePointSet([(0, 0, 1), (2, 0, 1), (0, 2, 1), (2, 2, 1)])
+    for probe, inside in [((1, 1, 1), True), ((3, 1, 1), False),
+                          ((1, 1, 2), False)]:  # the last is off the plane
+        calls.clear()
+        assert hull_contains(flat, probe) == inside
+        assert calls == ["farkas"]
 
 
 @settings(derandomize=True, database=None, max_examples=100,

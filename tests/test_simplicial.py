@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from ascolim.errors import InputError
 from ascolim.geometry import Simplex, combine, diameter_sq, sqdist, vsub
 from ascolim.simplicial import (SimplicialComplex, SubcomplexCarrier,
-                                SubdividedComplex, _chains,
+                                SubdividedComplex, _Grid, _chains,
                                 _subdivision_cap, _top_order,
                                 barycentric_subdivide, bsd_with_parents,
                                 max_diameter_sq, prism_end_carrier,
-                                relative_volumes, subdivide_until,
-                                triangulate_prism)
+                                relative_volumes, triangulate_prism)
 
 F = Fraction
 
@@ -89,9 +88,16 @@ def test_bsd_pieces_subdivide_every_simplex():
     assert sorted(from_tops, key=lambda p: sorted(p.vertices)) == sub.tops()
 
 
+def _refined(cx, delta):
+    """The steps ``refine_until(delta)`` takes on ``cx`` and the final
+    level."""
+    tree = SubdividedComplex(cx)
+    return tree.refine_until(delta), tree.final
+
+
 def test_subdivide_until_interval():
     cx = SimplicialComplex([Simplex([(0,), (1,)])])
-    m, sub = subdivide_until(cx, F(3, 10))
+    m, sub = _refined(cx, F(3, 10))
     assert m == 2
     assert len(sub.tops()) == 4
     assert all(diameter_sq(s) == F(1, 16) for s in sub.tops())
@@ -99,24 +105,21 @@ def test_subdivide_until_interval():
 
 def test_subdivide_until_noop_when_fine_enough():
     cx = SimplicialComplex([Simplex([(0,), (1,)])])
-    m, sub = subdivide_until(cx, 2)
+    m, sub = _refined(cx, 2)
     assert m == 0 and sub is cx
 
 
 def test_subdivide_until_triangle():
     cx = SimplicialComplex([UNIT_TRIANGLE])
-    m, _ = subdivide_until(cx, F(4, 5))
+    m, _ = _refined(cx, F(4, 5))
     assert m == 1
 
 
 def test_mesh_equal_to_delta_takes_one_step():
     # diameter < delta is strict, so a mesh of exactly delta needs a step
     interval = Simplex([(0,), (1,)])
-    m, sub = subdivide_until(SimplicialComplex([interval]), 1)
+    m, sub = _refined(SimplicialComplex([interval]), 1)
     assert m == 1 and max_diameter_sq(sub) == F(1, 4)
-    tree = SubdividedComplex(SimplicialComplex([interval]))
-    assert tree.refine_until(1) == 1
-    assert max_diameter_sq(tree.final) == F(1, 4)
 
 
 def test_subdivision_cap_past_the_float_range():
@@ -126,14 +129,14 @@ def test_subdivision_cap_past_the_float_range():
     cap = _subdivision_cap(2, F(1), delta * delta)  # the unit interval
     assert cap == 667  # ceil(400 log 10 / log 4) + 2
     tiny = SimplicialComplex([Simplex([(0,), (2 * delta,)])])
-    m, sub = subdivide_until(tiny, delta)
+    m, sub = _refined(tiny, delta)
     assert m == 2 and max_diameter_sq(sub) == (delta / 2) ** 2
 
 
 def test_subdivide_until_rejects_nonpositive_delta():
     cx = SimplicialComplex([UNIT_TRIANGLE])
     with pytest.raises(InputError):
-        subdivide_until(cx, 0)
+        _refined(cx, 0)
 
 
 def test_refinement_exact_volume_sums():
@@ -250,6 +253,36 @@ def test_estbsd_bound_on_random_simplices():
         sub = barycentric_subdivide(cx)
         bound = F(rank - 1, rank) ** 2 * diameter_sq(sx)
         assert max_diameter_sq(sub) <= bound
+
+
+def _scanned_mesh(cx):
+    return max(diameter_sq(s) for s in cx.tops())
+
+
+def test_max_diameter_sq_grid_route_matches_the_scan():
+    # a subdivision's grid holds every edge, so its edge mesh is read; the
+    # scan of the tops gives the same value on bsd outputs of ranks 2-5
+    rng = random.Random(211)
+    ranks = []
+    for _ in range(24):
+        rank = rng.randint(2, 5)
+        ranks.append(rank)
+        cx = SimplicialComplex([_random_simplex(rng, rank, 6)])
+        sub = barycentric_subdivide(cx)
+        assert sub._grid.edges and not cx._grid.edges
+        assert max_diameter_sq(sub) == _scanned_mesh(sub)
+        assert max_diameter_sq(cx) == _scanned_mesh(cx)
+        if rank <= 3:
+            twice = barycentric_subdivide(sub)
+            assert max_diameter_sq(twice) == _scanned_mesh(twice)
+    assert set(ranks) == {2, 3, 4, 5}
+    for _ in range(6):
+        sub = barycentric_subdivide(_non_pure_complex(rng))
+        assert max_diameter_sq(sub) == _scanned_mesh(sub)
+    # a complex made with close=False may lack edges: its grid is not read
+    bare = SimplicialComplex([UNIT_TRIANGLE], close=False)
+    bare._grid = _Grid.of(bare)
+    assert bare._grid.mesh_sq() == 0 and max_diameter_sq(bare) == 2
 
 
 def test_prism_of_interval_is_two_triangles():
