@@ -161,46 +161,41 @@ class Simplex:
     # -- barycentric machinery ------------------------------------------
 
     def _exact_solver(self):
-        """Cached (row-selection, kernel matrix, residual rows) triple.
-
-        The affine system ``sum(s_i * v_i) = x, sum(s_i) = 1`` has the
-        (D+1) x r coefficient matrix ``A``; we invert r independent rows
-        once and keep the remaining rows for the affine-hull residual
-        check.
+        """Cached ``(inv_rows, det, null_rows)``: integer rows from one
+        ``fraction_free`` elimination of ``[A | I]``, where ``A`` is the
+        (D+1) x r matrix of ``sum(s_i * v_i) = x, sum(s_i) = 1`` scaled to
+        integers by one factor, which ``inv_rows`` carries.  If ``b`` is
+        an integer row with ``(x, 1) = b / den``, ``x`` is on the affine
+        hull iff ``b`` is orthogonal to every null row, and then
+        ``s = inv_rows @ b / (det * den)``.
         """
         if self._solver is None:
-            rows = [[self.vertices[i][d] for i in range(self.rank)]
-                    for d in range(self.dim)]
-            rows.append([RAT(1)] * self.rank)
-            _, pivot_rows = linalg.row_reduce(
-                [[rows[d][i] for d in range(self.dim + 1)]
-                 for i in range(self.rank)])
-            sel = list(pivot_rows)
-            inv = linalg.invert([rows[d] for d in sel])
-            inv_num, inv_den = _int_matrix(inv)
-            rest = [d for d in range(self.dim + 1) if d not in sel]
-            check = []
-            for d in rest:
-                # row_d @ inv expresses rhs[d] from rhs[sel]
-                coeff = [sum(rows[d][i] * inv[i][k] for i in range(self.rank))
-                         for k in range(self.rank)]
-                check.append((d, coeff))
-            self._solver = (sel, inv_num, inv_den, check)
+            r, n = self.rank, self.dim + 1
+            nums, factor = scale_common(
+                [c for v in self.vertices for c in (*v, 1)])
+            m = [[*nums[d::n], *(int(d == k) for k in range(n))]
+                 for d in range(n)]
+            _, det = linalg.fraction_free(m, r)
+            inv_rows = tuple(tuple(factor * v for v in row[r:])
+                             for row in m[:r])
+            null_rows = tuple(tuple(row[r:]) for row in m[r:])
+            self._solver = (inv_rows, det, null_rows)
         return self._solver
 
     def barycentric(self, x):
-        """Coefficients of ``x`` in this simplex, or an ``Outside`` verdict."""
+        """Coefficients of ``x`` in this simplex, or an ``Outside`` verdict;
+        ``(x, 1)`` is scaled to integers once for ``_exact_solver``'s rows.
+        """
         x = tuple(x)
         if len(x) != self.dim:
             raise InputError(
                 f"point dimension {len(x)} != simplex dimension {self.dim}")
-        sel, inv_num, inv_den, check = self._exact_solver()
-        rhs = x + (RAT(1),)
-        for d, coeff in check:
-            if sum(c * rhs[s] for c, s in zip(coeff, sel)) != rhs[d]:
+        inv_rows, det, null_rows = self._exact_solver()
+        rhs, den = scale_common(x + (1,))
+        for row in null_rows:
+            if sum(a * b for a, b in zip(row, rhs)):
                 return Outside("off_affine_hull")
-        sel_num, sel_den = scale_common([rhs[s] for s in sel])
-        nums, den = matvec_q(inv_num, inv_den, sel_num, sel_den)
+        nums, den = matvec_q(inv_rows, det, rhs, den)
         coords = tuple(RAT(n, den) for n in nums)
         for i, s in enumerate(coords):
             if s < 0:
@@ -218,16 +213,6 @@ class Simplex:
             got = not isinstance(self.barycentric(x), Outside)
             self._contains_cache[x] = got
         return got
-
-
-def _int_matrix(mat):
-    """Fraction matrix -> (int rows, common denominator) for the kernel."""
-    flat = [v for row in mat for v in row]
-    nums, den = scale_common(flat)
-    ncols = len(mat[0])
-    rows = tuple(tuple(nums[i * ncols + j] for j in range(ncols))
-                 for i in range(len(mat)))
-    return rows, den
 
 
 # -- spec-level operations ----------------------------------------------

@@ -1,14 +1,15 @@
 """Small exact linear-algebra routines over exact rationals.
 
-Everything here is desk-scale (matrices of a handful of rows/columns).
-``row_reduce``, ``solve`` and ``invert`` use Gauss-Jordan elimination with
-exact scalars.  ``solve_nonneg``, the one nonnegative-feasibility routine
-every caller shares, scales rows to integers once and walks the column
-supports depth first by fraction-free elimination (Bareiss 1968), so
-supports that share a prefix share its elimination and exact rationals
-are built only for the solution returned.  ``farkas`` proves such a
-system empty by an exact Phase-I simplex and a checked certificate; it,
-``fraction_free`` and ``abs_det`` run the same elimination step.
+Everything here is desk-scale (matrices of a handful of rows/columns),
+and every elimination is one fraction-free step on integer rows (Bareiss
+1968): ``fraction_free`` runs it column by column, and ``row_reduce``,
+``rank``, ``solve``, ``invert`` and ``abs_det`` sit on top of it.
+``solve_nonneg``, the one nonnegative-feasibility routine every caller
+shares, scales rows to integers once and walks the column supports depth
+first by the same step, so supports that share a prefix share its
+elimination and exact rationals are built only for the solution
+returned.  ``farkas`` proves such a system empty by an exact Phase-I
+simplex, also run by that step, and a checked certificate.
 """
 
 from ascolim.errors import CertificateError
@@ -19,32 +20,15 @@ ONE = RAT(1)
 
 
 def row_reduce(mat):
-    """Gauss-Jordan over exact scalars.
+    """Reduced row-echelon form over exact scalars.
 
     Returns ``(reduced, pivot_cols)`` where ``reduced`` is the reduced
-    row-echelon form and ``pivot_cols`` the pivot column indices.
+    row-echelon form and ``pivot_cols`` the pivot column indices.  Each
+    row is scaled to integers and ``fraction_free`` eliminates them.
     """
-    m = [list(row) for row in mat]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    m = [list(scale_common(row)[0]) for row in mat]
+    pivots, det = fraction_free(m, len(m[0]) if m else 0)
+    return [[RAT(v, det) for v in row] for row in m], pivots
 
 
 def rank(mat):

@@ -20,6 +20,12 @@ from ascolim.geometry import as_point, dot, sqdist, vadd, vsub
 from ascolim.rats import RAT, scale_common, to_rat
 
 
+def _check_dim(x, dim, kind):
+    """``InputError`` unless the point ``x`` has ``dim`` coordinates."""
+    if len(x) != dim:
+        raise InputError(f"point dimension {len(x)} != {kind} dimension {dim}")
+
+
 class Region:
     dim = None
     is_convex = False
@@ -77,6 +83,7 @@ class OpenBall(_Ball):
     is_open = True
 
     def contains(self, x):
+        _check_dim(x, self.dim, "ball")
         return sqdist(x, self.center) < self.radius ** 2
 
 
@@ -84,6 +91,7 @@ class ClosedBall(_Ball):
     is_open = False
 
     def contains(self, x):
+        _check_dim(x, self.dim, "ball")
         return sqdist(x, self.center) <= self.radius ** 2
 
 
@@ -108,9 +116,7 @@ class HalfSpace(Region):
         return self.strict
 
     def contains(self, x):
-        if len(x) != self.dim:
-            raise InputError(
-                f"point dimension {len(x)} != halfspace dimension {self.dim}")
+        _check_dim(x, self.dim, "halfspace")
         v = sum(c * x[i] for i, c in self._terms)
         return v > self.offset if self.strict else v >= self.offset
 
@@ -134,8 +140,13 @@ class AffineSubspace(Region):
         self.base = as_point(base)
         self.directions = [as_point(d) for d in directions]
         self.dim = len(self.base)
+        for d in self.directions:
+            if len(d) != self.dim:
+                raise InputError(f"direction dimension {len(d)} != base "
+                                 f"dimension {self.dim}")
 
     def contains(self, x):
+        _check_dim(x, self.dim, "subspace")
         if not self.directions:
             return tuple(x) == tuple(self.base)
         mat = [[d[i] for d in self.directions] for i in range(self.dim)]

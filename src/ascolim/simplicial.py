@@ -140,46 +140,15 @@ def _first_holding(cells, x):
     return None
 
 
-def _intersection_vertices(s1, s2):
-    """Vertices of the polytope ``s1 ∩ s2`` by basic-solution enumeration."""
-    dim = s1.dim
-    n1, n2 = s1.rank, s2.rank
-    ncols = n1 + n2
-    rows = []
-    for d in range(dim):
-        rows.append([s1.vertices[i][d] for i in range(n1)] +
-                    [-s2.vertices[j][d] for j in range(n2)])
-    rows.append([RAT(1)] * n1 + [RAT(0)] * n2)
-    rows.append([RAT(0)] * n1 + [RAT(1)] * n2)
-    rhs = [RAT(0)] * dim + [RAT(1), RAT(1)]
-    r = linalg.rank(rows)
-    seen = set()
-    points = []
-    for support in combinations(range(ncols), min(r, ncols)):
-        sub = [[row[j] for j in support] for row in rows]
-        res = linalg.solve(sub, rhs)
-        if res is None:
-            continue
-        sol, free = res
-        if free or any(v < 0 for v in sol):
-            continue
-        coeffs = {j: v for j, v in zip(support, sol)}
-        x = tuple(
-            sum(coeffs.get(i, 0) * s1.vertices[i][d] for i in range(n1))
-            for d in range(dim))
-        if x not in seen:
-            seen.add(x)
-            points.append(x)
-    return points
-
-
 def _intersection_is_common_face(s1, s2):
-    shared = s1.key & s2.key
-    pts = _intersection_vertices(s1, s2)
-    if not shared:
-        return not pts
-    face = Simplex(sorted(shared))
-    return all(face.contains(x) for x in pts)
+    """Do ``s1`` and ``s2`` meet in their common face (or not at all)?
+    Exactly when ``linalg.farkas`` proves empty the ``λ, μ >= 0`` with
+    ``Σ λ_i v_i = Σ μ_j w_j``, ``Σ λ = Σ μ`` and weight 1 on the vertices
+    of ``s1`` outside ``s2``: a common point off the common face."""
+    rows = [[*v, 1, int(v not in s2.key)] for v in s1.vertices]
+    rows += [[*(-c for c in w), -1, 0] for w in s2.vertices]
+    mat = [list(col) for col in zip(*rows)]
+    return linalg.farkas(mat, [0] * (s1.dim + 1) + [1]) is not None
 
 
 # -- barycentric subdivision ----------------------------------------------

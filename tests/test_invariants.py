@@ -193,14 +193,18 @@ def test_injectivity_leg_exact_operation_count(monkeypatch):
     # by coordinate tuple (38,148 hashes when they were); and the times
     # are integers over one denominator, so the only int * Fraction
     # products are the cone weights, one per cone decomposition (4,126
-    # when the times were Fractions)
+    # when the times were Fractions).  Each barycentric solver is one
+    # fraction-free elimination, so row reductions are left only to the
+    # rank checks of new simplices (159 row reductions and 73 inversions
+    # when each solver inverted its rows in Fractions)
     model, sigma, tau = two_square_pair()
-    calls = {"__hash__": 0, "__rmul__": 0, "invert": 0, "solve_nonneg": 0,
-             "barycentric": 0, "theta": 0, "cone_decomposition": 0,
-             "contains_hull": 0}
+    calls = {"__hash__": 0, "__rmul__": 0, "fraction_free": 0,
+             "row_reduce": 0, "solve_nonneg": 0, "barycentric": 0,
+             "theta": 0, "cone_decomposition": 0, "contains_hull": 0}
     _count_calls(monkeypatch, calls, Fraction, "__hash__")
     _count_calls(monkeypatch, calls, Fraction, "__rmul__")
-    _count_calls(monkeypatch, calls, linalg, "invert")
+    _count_calls(monkeypatch, calls, linalg, "fraction_free")
+    _count_calls(monkeypatch, calls, linalg, "row_reduce")
     _count_calls(monkeypatch, calls, linalg, "solve_nonneg")
     _count_calls(monkeypatch, calls, Simplex, "barycentric")
     _count_calls(monkeypatch, calls, ThetaEngine, "theta")
@@ -211,7 +215,8 @@ def test_injectivity_leg_exact_operation_count(monkeypatch):
     assert leg["endpoints_frozen"] and leg["grid_ok"] and leg["beta"] == 1
     assert 0 < calls["__hash__"] <= 26_000
     assert 0 < calls["__rmul__"] <= 110
-    assert 0 < calls["invert"] <= 100
+    assert 0 < calls["fraction_free"] <= 100
+    assert 0 < calls["row_reduce"] <= 20
     assert calls["solve_nonneg"] == 0
     assert 0 < calls["barycentric"] <= 1_400
     assert 0 < calls["theta"] <= 340

@@ -1,4 +1,5 @@
-"""Exact nonnegative feasibility against a Gauss-Jordan reference."""
+"""Exact elimination and nonnegative feasibility against a Gauss-Jordan
+reference over ``Fraction``s."""
 
 import os
 import random
@@ -18,6 +19,98 @@ from ascolim.errors import CertificateError
 F = Fraction
 
 
+def _gauss_jordan(mat):
+    """Reference reduced row-echelon form: Gauss-Jordan over ``Fraction``
+    entries.  Returns ``(reduced, pivot_cols)``."""
+    m = [list(row) for row in mat]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def _reference_rank(mat):
+    return len(_gauss_jordan(mat)[1]) if mat else 0
+
+
+def _reference_linear_solve(mat, rhs):
+    """``(x, free_cols)`` with ``mat @ x = rhs`` and the free variables
+    zero, or ``None``, by ``_gauss_jordan``."""
+    ncols = len(mat[0]) if mat else 0
+    if not mat:
+        return ([], []) if all(v == 0 for v in rhs) else None
+    red, pivots = _gauss_jordan([list(row) + [b] for row, b in zip(mat,
+                                                                   rhs)])
+    if ncols in pivots:
+        return None
+    sol = [F(0)] * ncols
+    for i, c in enumerate(pivots):
+        sol[c] = red[i][ncols]
+    return sol, [c for c in range(ncols) if c not in pivots]
+
+
+def _reference_invert(mat):
+    """The inverse by ``_gauss_jordan``, or ``None`` if singular."""
+    n = len(mat)
+    red, pivots = _gauss_jordan([list(row) + [F(int(i == j))
+                                              for j in range(n)]
+                                 for i, row in enumerate(mat)])
+    return [row[n:] for row in red] if pivots == list(range(n)) else None
+
+
+def _elimination_matrix(rng):
+    """Up to 5 x 5 small rationals, often with a zero or a dependent row."""
+    nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+    mat = [[F(rng.randint(-4, 4), rng.choice([1, 2, 3, 7]))
+            for _ in range(ncols)] for _ in range(nrows)]
+    if rng.random() < 0.2:
+        mat[rng.randrange(nrows)] = [F(0)] * ncols
+    if nrows > 2 and rng.random() < 0.3:
+        mat[-1] = [2 * a - b / 3 for a, b in zip(mat[0], mat[1])]
+    return mat
+
+
+def test_elimination_matches_gauss_jordan_reference():
+    rng = random.Random(2301)
+    cases = [[], [[]], [[F(0), F(0)], [F(0), F(0)]],
+             [[F(1), F(2)], [F(2), F(4)]]]
+    cases += [_elimination_matrix(rng) for _ in range(800)]
+    ranks, singular = set(), 0
+    for mat in cases:
+        assert linalg.row_reduce(mat) == _gauss_jordan(mat), mat
+        assert linalg.rank(mat) == _reference_rank(mat), mat
+        ranks.add((len(mat), linalg.rank(mat)))
+        rhs = [F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in mat]
+        assert linalg.solve(mat, rhs) == _reference_linear_solve(mat, rhs)
+        if mat and len(mat) == len(mat[0]):
+            expected = _reference_invert(mat)
+            if expected is None:
+                singular += 1
+                with pytest.raises(ValueError):
+                    linalg.invert(mat)
+            else:
+                assert linalg.invert(mat) == expected, mat
+    assert linalg.invert([]) == [] == _reference_invert([])
+    assert {(0, 0), (2, 0), (2, 1), (3, 2), (5, 5)} <= ranks
+    assert singular >= 10
+
+
 def _reference_feasible(mat, rhs, require=()):
     """Some independent column support containing ``require`` carries
     ``x >= 0``.  Supports of more columns than rows are dependent, so
@@ -27,8 +120,8 @@ def _reference_feasible(mat, rhs, require=()):
     for k in range(min(len(rest), len(mat) - len(require)) + 1):
         for extra in combinations(rest, k):
             support = tuple(require) + extra
-            res = linalg.solve([[row[j] for j in support] for row in mat],
-                               rhs)
+            res = _reference_linear_solve(
+                [[row[j] for j in support] for row in mat], rhs)
             if res is not None and not res[1] and all(v >= 0
                                                       for v in res[0]):
                 return True
@@ -65,7 +158,7 @@ def test_solve_nonneg_matches_reference_enumeration():
                    for row, b in zip(mat, rhs))
         assert all(v >= 0 for v in sol)
         support = [j for j, v in enumerate(sol) if v]
-        assert linalg.rank([[row[j] for j in support] for row in mat]) \
+        assert _reference_rank([[row[j] for j in support] for row in mat]) \
             == len(support)
     assert verdicts == {True, False}
 
@@ -86,15 +179,15 @@ def _reference_solve(mat, rhs, max_support=None, require=()):
     ``max_support`` columns that hold ``require``, smallest first and in
     ``combinations`` order within a size."""
     ncols = len(mat[0]) if mat else 0
-    cap = linalg.rank(mat)
+    cap = _reference_rank(mat)
     if max_support is not None:
         cap = min(cap, max_support)
     rest = [j for j in range(ncols) if j not in require]
     for size in range(len(require), cap + 1):
         for extra in combinations(rest, size - len(require)):
             support = tuple(require) + extra
-            res = linalg.solve([[row[j] for j in support] for row in mat],
-                               rhs)
+            res = _reference_linear_solve(
+                [[row[j] for j in support] for row in mat], rhs)
             if res is None or res[1] or any(v < 0 for v in res[0]):
                 continue
             sol = [F(0)] * ncols

@@ -13,6 +13,7 @@ from ascolim.regions import (AffineSubspace, ClosedBall, Complement,
                              CoordinatePlaneComplement, FullSpace, HalfSpace,
                              Intersection, OpenBall, Translate, Union,
                              conv2_subset, region_subset)
+from ascolim.serialization import obj_to_region
 
 F = Fraction
 
@@ -62,6 +63,26 @@ def test_halfspace_sparse_membership_matches_dense_dot():
 def test_halfspace_rejects_point_of_wrong_dimension(normal, point):
     with pytest.raises(InputError):
         HalfSpace(normal, 0).contains(point)
+
+
+@pytest.mark.parametrize("region, point", [
+    (AffineSubspace((0, 0), [(1, 0)]), (5, 0, 7)),
+    (AffineSubspace((0, 0), []), (0,)),
+    (OpenBall((0, 0), 1), (0, 0, 5)),
+    (ClosedBall((0, 0), 1), (0,)),
+])
+def test_region_rejects_point_of_wrong_dimension(region, point):
+    with pytest.raises(InputError, match="point dimension"):
+        region.contains(point)
+
+
+def test_affine_subspace_rejects_direction_of_wrong_dimension():
+    with pytest.raises(InputError, match="direction dimension 3"):
+        AffineSubspace((0, 0), [(1, 0, 5)])
+    obj = {"kind": "affine_subspace", "base": ["0", "0"],
+           "directions": [["1", "0"], ["1", "0", "5"]]}
+    with pytest.raises(InputError, match="direction dimension 3"):
+        obj_to_region(obj)
 
 
 def test_affine_subspace_membership():

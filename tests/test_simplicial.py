@@ -1,5 +1,6 @@
 """Complexes, subdivision, prisms and carriers."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ascolim import linalg
 from ascolim.errors import InputError
 from ascolim.geometry import Simplex, combine, diameter_sq, sqdist, vsub
 from ascolim.simplicial import (SimplicialComplex, SubcomplexCarrier,
                                 SubdividedComplex, _Grid, _chains,
+                                _intersection_is_common_face,
                                 _subdivision_cap, _top_order,
                                 barycentric_subdivide, bsd_with_parents,
                                 max_diameter_sq, prism_end_carrier,
@@ -40,6 +43,82 @@ def test_interval_bsd_is_midpoint_split():
     assert tops == {frozenset({(0,), (F(1, 2),)}),
                     frozenset({(F(1, 2),), (1,)})}
     assert sub.validate()
+
+
+def _intersection_vertices(s1, s2):
+    """Reference: the vertices of the polytope ``s1 ∩ s2``, by one exact
+    solve per column support of its basic solutions."""
+    dim = s1.dim
+    n1, n2 = s1.rank, s2.rank
+    ncols = n1 + n2
+    rows = [[s1.vertices[i][d] for i in range(n1)] +
+            [-s2.vertices[j][d] for j in range(n2)] for d in range(dim)]
+    rows.append([F(1)] * n1 + [F(0)] * n2)
+    rows.append([F(0)] * n1 + [F(1)] * n2)
+    rhs = [F(0)] * dim + [F(1), F(1)]
+    r = linalg.rank(rows)
+    points = set()
+    for support in itertools.combinations(range(ncols), min(r, ncols)):
+        res = linalg.solve([[row[j] for j in support] for row in rows], rhs)
+        if res is None or res[1] or any(v < 0 for v in res[0]):
+            continue
+        coeffs = dict(zip(support, res[0]))
+        points.add(tuple(
+            sum(coeffs.get(i, 0) * s1.vertices[i][d] for i in range(n1))
+            for d in range(dim)))
+    return points
+
+
+def _reference_common_face(s1, s2):
+    shared = s1.key & s2.key
+    pts = _intersection_vertices(s1, s2)
+    if not shared:
+        return not pts
+    face = Simplex(sorted(shared))
+    return all(face.contains(x) for x in pts)
+
+
+def _grid_simplex(rng, dim, rank, keep=()):
+    """A simplex of ``rank`` vertices in R^dim holding those of ``keep``,
+    the rest drawn from a small grid."""
+    while True:
+        extra = [tuple(F(rng.randint(-2, 2), rng.choice([1, 2]))
+                       for _ in range(dim)) for _ in range(rank - len(keep))]
+        try:
+            return Simplex([*keep, *extra])
+        except InputError:
+            continue
+
+
+def test_common_face_verdict_matches_the_vertex_enumeration():
+    rng = random.Random(2311)
+    found = set()
+    for _ in range(400):
+        dim = rng.choice([1, 2, 3])
+        s1 = _grid_simplex(rng, dim, rng.randint(1, dim + 1))
+        keep = rng.sample(s1.vertices, rng.randint(0, s1.rank - 1))
+        s2 = _grid_simplex(rng, dim, rng.randint(max(1, len(keep)),
+                                                 dim + 1), keep)
+        got = _intersection_is_common_face(s1, s2)
+        assert got == _reference_common_face(s1, s2), (s1, s2)
+        found.add((bool(s1.key & s2.key), got))
+    assert found == {(False, False), (False, True), (True, False),
+                     (True, True)}
+
+
+@pytest.mark.parametrize("tops, close, match", [
+    # two overlapping triangles
+    ([UNIT_TRIANGLE, Simplex([(F(1, 4), F(1, 4)), (2, 0), (0, 2)])], True,
+     "do not meet in a face"),
+    # two triangles that share one vertex and cross
+    ([UNIT_TRIANGLE, Simplex([(0, 0), (1, -1), (1, 1)])], True,
+     "do not meet in a face"),
+    # a triangle without its edges
+    ([UNIT_TRIANGLE], False, "missing face"),
+])
+def test_validate_rejects_a_non_complex(tops, close, match):
+    with pytest.raises(InputError, match=match):
+        SimplicialComplex(tops, close=close).validate()
 
 
 def test_triangle_bsd_six_triangles_and_exact_max_diameter():
