@@ -372,11 +372,24 @@ class ThetaEngine:
         self.config = config
 
     @cached_property
-    def grid_complex(self):
-        """``bsd^bake_level`` of the final complex, built once: every
-        time slice and the endpoint are baked on it."""
+    def grid(self):
+        """``bsd^bake_level`` of the final complex as its subdivision,
+        built once: the origin of a grid vertex is the final face that
+        carries it."""
         return SubdividedComplex(self.tree.final).refine(
-            self.config.bake_level).final
+            self.config.bake_level)
+
+    @property
+    def grid_complex(self):
+        """The grid's complex: every time slice and the endpoint are baked
+        on it."""
+        return self.grid.final
+
+    def _root(self, x):
+        """``x`` located in its root in the base when it is a vertex of the
+        grid, as every vertex of the tree is; else None."""
+        face = self.grid.origins.get(x)
+        return face and self.tree.rooted(x, self.tree.origin_of(face))
 
     def theta(self, session, x, ks, den, start=None):
         """Values of the homotopy at ``x`` for the bound map, one per time
@@ -391,10 +404,17 @@ class ThetaEngine:
 
         ``start`` is a base simplex holding ``x`` and the coordinates of
         ``x`` in it, as an outer engine found them: a lower-rank final top,
-        the positive-coordinate face of a top, or a cone exit face."""
+        the positive-coordinate face of a top, or a cone exit face.  With
+        no start, a grid vertex starts at its root, where a PL ``gamma`` on
+        the base takes its value at ``x`` (``PLMap.at``), so neither
+        locates ``x``."""
         gamma = session.gamma
         if self.rank == 1:
             return (tuple(gamma(x)),) * len(ks)
+        if start is None:
+            start = self._root(x)
+            if start and _is_pl(gamma) and start[0] in gamma.domain:
+                gamma.at(x, start)
         hit = self.tree.locate_final(x, start)
         if hit is None:
             raise InputError(f"point {x!r} outside the engine domain")
@@ -716,6 +736,9 @@ def build_engine(tree, gamma0, spec, frozen, model, config, rng=None):
     for level in range(config.max_subdivision + 1):
         if level:
             tree.refine()
+        if _is_pl(gamma0):  # affine on each cell of every engine's tree
+            for v in tree.final.vertices():
+                gamma0.at(v, tree.rooted(v, tree.origins[v]))
         cell_regions = _cell_regions_for(tree, spec, index, model.ambient_dim)
         failed = "constraint"
         bad = _first_violation(tree, gamma0, cell_regions, rng,

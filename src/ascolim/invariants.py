@@ -3,7 +3,7 @@
 Winding numbers (exact signed ray crossings of the projection to a
 coordinate pair) are the complete degree-one invariant for carriers of
 the form "euclidean space minus one codimension-two coordinate plane",
-and path components of sampled step graphs give the degree-zero data.
+and path components of certified step graphs give the degree-zero data.
 The experiments wire these oracles to the approximation engine: loops are
 homotoped into finite steps with winding certified before and after, two
 equal-winding step loops are joined by an annulus-interpolation homotopy
@@ -190,8 +190,9 @@ class ComponentModel:
             prev = cur
 
     def validate_edges(self):
-        """Certify each edge segment inside its carrier (exact where the
-        region algebra decides; report sampled otherwise)."""
+        """Certify each edge segment inside its carrier, exactly; an edge
+        the region algebra cannot decide is an ``InputError`` naming the
+        step and the edge, as one that leaves the carrier is."""
         report = []
         for a in self.labels:
             for (i, j) in self.step_edges.get(a, []):
@@ -199,18 +200,17 @@ class ComponentModel:
                 ok_sub = self.model.filtration.subspace_contains(a, p) \
                     and self.model.filtration.subspace_contains(a, q)
                 got = self.model.carrier.contains_hull([p, q])
-                report.append({"step": str(a), "edge": (i, j),
-                               "subspace": ok_sub,
-                               "carrier": got if got is not None
-                               else "sampled"})
-                if not ok_sub or got is False:
+                if not ok_sub or got is not True:
                     raise InputError(f"edge {(i, j)} not certified "
                                      f"in step {a!r}")
+                report.append({"step": str(a), "edge": (i, j),
+                               "subspace": ok_sub, "carrier": got})
         for (i, j) in self.ambient_edges:
             got = self.model.carrier.contains_hull([self.nodes[i],
                                                     self.nodes[j]])
-            if got is False:
-                raise InputError(f"ambient edge {(i, j)} leaves the carrier")
+            if got is not True:
+                raise InputError(f"ambient edge {(i, j)} not certified "
+                                 f"in the carrier")
         return report
 
     def _components(self, node_ids, edges):
@@ -247,8 +247,10 @@ def pi0_report(cmodel):
     Builds the component direct system over the chain (bonding: a step
     component maps to the component of the next step containing it), runs
     the witness colimit, and compares with the ambient components through
-    the universal map.
+    the universal map.  Every edge is certified first
+    (``ComponentModel.validate_edges``).
     """
+    cmodel.validate_edges()
     labels = cmodel.labels
     poset = Poset.chain(labels)
     comp = {a: cmodel.step_components(a) for a in labels}

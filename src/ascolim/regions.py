@@ -56,7 +56,8 @@ class FullSpace(Region):
     is_open = True
 
     def contains(self, x):
-        return len(x) == self.dim
+        _check_dim(x, self.dim, "space")
+        return True
 
     def translate(self, shift):
         return self
@@ -166,6 +167,7 @@ class CoordinatePlaneComplement(Region):
         self.i, self.j = i, j
 
     def contains(self, x):
+        _check_dim(x, self.dim, "plane complement")
         return x[self.i] != 0 or x[self.j] != 0
 
     def contains_hull(self, points):

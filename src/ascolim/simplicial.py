@@ -3,8 +3,9 @@
 A complex is a face-closed set of simplices in a common ambient space whose
 pairwise intersections are common faces.  The module provides barycentric
 subdivision (with the diameter-contraction guarantee, and the pieces of
-each simplex for point location by descent), diameter-driven iterated
-subdivision, staircase triangulation of prisms ``|Σ| x [0,1]``, and
+each simplex), diameter-driven iterated subdivision with point location
+by arithmetic (sorted coordinates down the levels, origins for the
+vertices), staircase triangulation of prisms ``|Σ| x [0,1]``, and
 carriers of subcomplexes.
 """
 
@@ -22,12 +23,12 @@ class SimplicialComplex:
     """Face-closed finite set of simplices in a common ambient space.
 
     A complex is immutable after construction, so its top cells, its
-    vertex list, its integer grid (see ``_Grid``) and the answer of
-    ``locate`` at each point are computed once and kept.
+    vertex list and its integer grid (see ``_Grid``) are computed once
+    and kept.
     """
 
     __slots__ = ("simplices", "dim", "rank", "_tops", "_by_key",
-                 "_vertices", "_located", "_grid")
+                 "_vertices", "_grid")
 
     def __init__(self, simplices, close=True):
         gen = list(simplices)
@@ -55,7 +56,6 @@ class SimplicialComplex:
         self.rank = max(s.rank for s in self.simplices)
         self._tops = None
         self._vertices = None
-        self._located = {}
         self._grid = None
 
     def tops(self):
@@ -92,14 +92,17 @@ class SimplicialComplex:
         return self.locate(x) is not None
 
     def locate(self, x):
-        """A top simplex containing ``x`` together with its coordinates.
-
-        The first hit in ``tops()`` order; answers are memoized.
-        """
+        """The first top simplex in ``tops()`` order containing ``x``,
+        with the coordinates of ``x`` in it, or None: one barycentric solve
+        per top tried.  This is for arbitrary points of a generic complex;
+        a subdivision locates its vertices from their origins and descends
+        with no solve (``SubdividedComplex.locate_final``)."""
         x = tuple(x)
-        if x not in self._located:
-            self._located[x] = _first_holding(self.tops(), x)
-        return self._located[x]
+        for cell in self.tops():
+            coords = cell.barycentric(x)
+            if not isinstance(coords, Outside):
+                return cell, coords
+        return None
 
     def skeleton(self, max_rank):
         """Subcomplex of all simplices of rank at most ``max_rank``."""
@@ -129,15 +132,6 @@ class SimplicialComplex:
 
 def _top_order(simplex):
     return sorted(simplex.vertices)
-
-
-def _first_holding(cells, x):
-    """The first of ``cells`` holding ``x`` with its coordinates, or None."""
-    for cell in cells:
-        coords = cell.barycentric(x)
-        if not isinstance(coords, Outside):
-            return cell, coords
-    return None
 
 
 def _intersection_is_common_face(s1, s2):
@@ -227,7 +221,12 @@ def bsd_with_parents(complex_):
     Returns ``(subdivided, pieces)`` where ``pieces`` maps the key of each
     input simplex to the cells of its own rank that subdivide it: its
     maximal chains, which start at a vertex and go up one rank at a time.
-    A cell's vertices are its chain's centers in chain order.
+    A cell's vertices are its chain's centers in chain order, and its ids
+    in the subdivision's grid are its chain's places in ``pieces``, whose
+    keys are in that order; so a piece's chain names the order in which
+    it adds the simplex's vertices, which is how ``locate_final`` picks
+    it.  No index of that is made here, as building a level locates
+    nothing.
 
     Each center is an integer sum of rows of the input's grid (read from
     the complex the first time); the subdivision's grid numbers it by
@@ -306,11 +305,12 @@ def _subdivision_cap(rank, d0, delta_sq):
 class SubdividedComplex:
     """A complex with its iterated-subdivision history.
 
-    Keeps every level, the pieces of each simplex per level for point
-    location by descent, and per vertex its "origin": the vertex set of
-    the minimal base simplex whose relative interior carries it.  A vertex
-    lies in a base simplex exactly when its origin is the key of a face of
-    it, so constraint and root queries become lookups of origin sets.
+    Keeps every level, the pieces of each simplex per level, and per
+    vertex its "origin": the vertex set of the minimal base simplex whose
+    relative interior carries it.  A vertex lies in a base simplex exactly
+    when its origin is the key of a face of it, so constraint and root
+    queries become lookups of origin sets, and a vertex is located in its
+    root with no scan (``rooted``).
     """
 
     def __init__(self, base):
@@ -320,6 +320,7 @@ class SubdividedComplex:
                         for v in base.vertices()}
         self._meshes = [None]  # squared mesh of each level, once computed
         self._final_origins = None  # by vertex id of a subdivided final
+        self._orders = {}  # level -> (its face keys, cell key -> pieces)
 
     @property
     def base(self):
@@ -389,26 +390,81 @@ class SubdividedComplex:
         return m
 
     def root(self, simplex):
-        """Minimal base simplex carrying ``simplex``: the one spanned by
-        the union of its vertices' origin sets."""
-        return self.base._by_key[frozenset().union(
-            *(self.origins[v] for v in simplex.vertices))]
+        """Minimal base simplex carrying ``simplex``, a simplex of the
+        final complex."""
+        return self.base._by_key[self.origin_of(simplex.key)]
+
+    def origin_of(self, key):
+        """The origin of the final simplex ``key``: the union of its
+        vertices' origin sets, read by their ids in the final grid."""
+        known = self._final_origins
+        if known is None:
+            return key
+        return frozenset().union(
+            *(known[i] for i in self.final._grid.ids[key]))
+
+    def rooted(self, x, origin):
+        """``x`` located in the base simplex ``origin`` names, which
+        carries it: the root with the coordinates of ``x`` in it, by one
+        barycentric solve, or none when the root is a vertex."""
+        root = self.base._by_key[origin]
+        return root, (RAT(1),) if root.rank == 1 else root.barycentric(x)
 
     def locate_final(self, x, start=None):
         """A final cell holding ``x`` with its coordinates, or None.
 
         Starts at ``start``, a base simplex holding ``x`` and the
-        coordinates of ``x`` in it, taken as given, else at the base top
-        ``base.locate`` finds.  It descends through the pieces of one cell
-        per level, which cover it, to a final cell of the start's rank.
+        coordinates of ``x`` in it, taken as given; else at the root of a
+        vertex of the tree, else at the base top ``base.locate`` finds.
+        Then it descends with no solve, on the coordinates' integer
+        numerators over one denominator.  If ``x`` has coordinates ``λ``
+        in a cell, the piece of ``bsd`` holding it is the chain of faces
+        spanned by the cell's vertices in decreasing order of ``λ``, where
+        its coordinates are ``μ_k = (k+1)(λ_(k) - λ_(k+1))``, with
+        ``λ_(r) = 0`` (Munkres, *Elements of Algebraic Topology*, §15).
+        A tie picks one of the pieces holding ``x``.  The final cell has
+        the start's rank.
         """
         x = tuple(x)
-        hit = self.base.locate(x) if start is None else start
-        if hit is None:
-            return None
-        for pieces in self.pieces:
-            hit = _first_holding(pieces[hit[0].key], x)
-        return hit
+        if start is None:
+            origin = self.origins.get(x)
+            start = self.base.locate(x) if origin is None \
+                else self.rooted(x, origin)
+        if start is None or not self.pieces:
+            return start
+        cell, coords = start
+        nums, den = scale_common(coords)
+        for level in range(self.depth):
+            order = tuple(sorted(range(len(nums)), key=nums.__getitem__,
+                                 reverse=True))
+            cell = self._piece(level, cell.key, order)
+            ranked = [nums[i] for i in order] + [0]
+            nums = [(k + 1) * (ranked[k] - ranked[k + 1])
+                    for k in range(len(order))]
+        return cell, tuple(RAT(n, den) for n in nums)
+
+    def _piece(self, level, key, order):
+        """The piece of the cell ``key`` of ``level`` whose chain adds the
+        cell's vertices at the places ``order`` of its vertex tuple.  A
+        cell's pieces are indexed by these orders at the first descent
+        through it: the ids of a piece in the next grid are the places of
+        its chain's faces in ``pieces``, and the ids of those faces list
+        the vertices each one adds."""
+        if level not in self._orders:
+            self._orders[level] = list(self.pieces[level]), {}
+        faces, index = self._orders[level]
+        if key not in index:
+            ids, chains = self.levels[level]._grid.ids, \
+                self.levels[level + 1]._grid.ids
+            place = {v: i for i, v in enumerate(ids[key])}
+            index[key] = {}
+            for piece in self.pieces[level][key]:
+                seen, adds = set(), []
+                for p in chains[piece.key]:
+                    adds += [place[v] for v in ids[faces[p]] if v not in seen]
+                    seen.update(ids[faces[p]])
+                index[key][tuple(adds)] = piece
+        return index[key][order]
 
 
 # -- carriers --------------------------------------------------------------

@@ -152,17 +152,27 @@ def test_surjectivity_leg_frozen_probe_is_noop():
     assert leg["beta"] == 1
 
 
-def test_injectivity_leg_two_square_shapes():
+def test_injectivity_leg_two_square_shapes(monkeypatch):
     model = plane_model(4, [(1, {0, 1}), (2, {0, 1, 2, 3})])
     sigma = unit_square_loop(dim=4)
     # same basepoint and winding, different shape (stretched corners)
     tau = LoopModel([(1, 1, 0, 0), (-2, 2, 0, 0), (-2, -2, 0, 0),
                      (2, -2, 0, 0)], axis=(0, 1))
+    # machine-independent budget: a grid or tree vertex is located by one
+    # solve in its root and descends by its sorted coordinates, and a PL
+    # input map takes its value there (6,938 solves and 888 complex
+    # locates when each start scanned the base tops, each level tried its
+    # pieces in turn and each new vertex image was located by a scan)
+    calls = {"barycentric": 0, "locate": 0}
+    _count_calls(monkeypatch, calls, Simplex, "barycentric")
+    _count_calls(monkeypatch, calls, SimplicialComplex, "locate")
     leg = injectivity_leg(model, sigma, tau, FAST, u_levels=3)
     assert leg["winding"] == 1
     assert leg["endpoints_frozen"]
     assert leg["grid_ok"]
     assert leg["beta"] == 1
+    assert 0 < calls["barycentric"] <= 775
+    assert calls["locate"] == 0
 
 
 def two_square_pair():
@@ -196,11 +206,14 @@ def test_injectivity_leg_exact_operation_count(monkeypatch):
     # when the times were Fractions).  Each barycentric solver is one
     # fraction-free elimination, so row reductions are left only to the
     # rank checks of new simplices (159 row reductions and 73 inversions
-    # when each solver inverted its rows in Fractions)
+    # when each solver inverted its rows in Fractions).  Points are
+    # located with no scan (1,297 solves and 320 complex locates when
+    # they were scanned and tried piece by piece)
     model, sigma, tau = two_square_pair()
     calls = {"__hash__": 0, "__rmul__": 0, "fraction_free": 0,
              "row_reduce": 0, "solve_nonneg": 0, "barycentric": 0,
-             "theta": 0, "cone_decomposition": 0, "contains_hull": 0}
+             "theta": 0, "cone_decomposition": 0, "contains_hull": 0,
+             "locate": 0}
     _count_calls(monkeypatch, calls, Fraction, "__hash__")
     _count_calls(monkeypatch, calls, Fraction, "__rmul__")
     _count_calls(monkeypatch, calls, linalg, "fraction_free")
@@ -211,6 +224,7 @@ def test_injectivity_leg_exact_operation_count(monkeypatch):
     _count_calls(monkeypatch, calls, approximation, "cone_decomposition")
     _count_calls(monkeypatch, calls, CoordinatePlaneComplement,
                  "contains_hull")
+    _count_calls(monkeypatch, calls, SimplicialComplex, "locate")
     leg = injectivity_leg(model, sigma, tau, FAST, u_levels=1)
     assert leg["endpoints_frozen"] and leg["grid_ok"] and leg["beta"] == 1
     assert 0 < calls["__hash__"] <= 26_000
@@ -218,7 +232,8 @@ def test_injectivity_leg_exact_operation_count(monkeypatch):
     assert 0 < calls["fraction_free"] <= 100
     assert 0 < calls["row_reduce"] <= 20
     assert calls["solve_nonneg"] == 0
-    assert 0 < calls["barycentric"] <= 1_400
+    assert 0 < calls["barycentric"] <= 295
+    assert calls["locate"] == 0
     assert 0 < calls["theta"] <= 340
     assert 0 < calls["cone_decomposition"] <= 120
     assert 0 < calls["contains_hull"] <= 1_200
@@ -370,7 +385,9 @@ def test_surjectivity_leg_exact_solve_count(monkeypatch):
     # vertex serves all 51 slices, so the engine is evaluated 36 times and
     # the PL map makes 36 complex locates (1560 and 1260 with one descent
     # per slice, 1860 with one anchor evaluation per slice); values are
-    # computed in model coordinates, with no affine chart map applied
+    # computed in model coordinates, with no affine chart map applied.  A
+    # grid vertex is located in its root, so no complex is scanned (157
+    # solves and 36 locates when each one scanned the base tops)
     model = plane_model(8, [(2, {0, 1}), (4, {0, 1, 2, 3})])
     probe = unit_square_loop(dim=8, reps=3)
     calls = {"barycentric": 0, "locate": 0, "theta": 0, "__call__": 0}
@@ -381,8 +398,8 @@ def test_surjectivity_leg_exact_solve_count(monkeypatch):
     leg = surjectivity_leg(model, probe)
     assert leg["winding_before"] == leg["winding_after"] == 3
     assert leg["beta"] == 2 and leg["grid_ok"]
-    assert 0 < calls["barycentric"] <= 200
-    assert 0 < calls["locate"] <= 40
+    assert 0 < calls["barycentric"] <= 24
+    assert calls["locate"] == 0
     assert 0 < calls["theta"] <= 40
     assert calls["__call__"] == 0
 
@@ -610,3 +627,19 @@ def test_palais_two_ball_and_plane_models():
     report = palais_experiment(model, loops=loops, config=FAST)
     assert report["pi1"]["all_windings_preserved"]
     assert report["pi1"]["psi_bijective_on_window"]
+
+
+def test_undecided_edge_is_an_input_error():
+    # two disjoint open unit balls: the segment between their centres
+    # leaves the carrier, and the region algebra cannot decide it
+    filt = Filtration(2, [(1, {0}), (2, {0, 1})])
+    carrier = Union([OpenBall((F(-2), F(0)), 1), OpenBall((F(2), F(0)), 1)])
+    model = FilteredSpaceModel(filt, carrier)
+    nodes = [(F(-2), F(0)), (F(2), F(0))]
+    cmodel = ComponentModel(model, nodes, {1: [0, 1], 2: [0, 1]},
+                            {1: [(0, 1)], 2: [(0, 1)]}, ambient_edges=[])
+    with pytest.raises(InputError, match=r"edge \(0, 1\) not certified "
+                                         r"in step 1"):
+        cmodel.validate_edges()
+    with pytest.raises(InputError, match="not certified"):
+        pi0_report(cmodel)

@@ -251,3 +251,14 @@ def test_conv2_subset_for_convex_regions():
 def test_zero_radius_rejected():
     with pytest.raises(InputError):
         OpenBall((0, 0), 0)
+
+
+@pytest.mark.parametrize("region, point", [
+    (CoordinatePlaneComplement(2, 0, 1), (F(0), F(0), F(5))),
+    (CoordinatePlaneComplement(3, 0, 1), (F(0), F(0))),
+    (CoordinatePlaneComplement(2, 0, 1), (F(1),)),
+    (FullSpace(2), (F(1), F(2), F(3))),
+])
+def test_contains_rejects_a_point_of_another_dimension(region, point):
+    with pytest.raises(InputError, match="point dimension"):
+        region.contains(point)

@@ -1,5 +1,6 @@
 """Complexes, subdivision, prisms and carriers."""
 
+import functools
 import itertools
 import math
 import random
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from ascolim import linalg
 from ascolim.errors import InputError
-from ascolim.geometry import Simplex, combine, diameter_sq, sqdist, vsub
+from ascolim.geometry import (Outside, Simplex, combine, diameter_sq,
+                              sqdist, vsub)
 from ascolim.simplicial import (SimplicialComplex, SubcomplexCarrier,
                                 SubdividedComplex, _Grid, _chains,
                                 _intersection_is_common_face,
@@ -519,7 +521,9 @@ def test_locate_final_descends_through_pieces(monkeypatch):
             got, coords = tree.locate_final(x, start)
             assert copy is None or copy._solver is None
             assert got.contains(x) and coords == got.barycentric(x)
-            face = face or base.locate(x)[0]
+            # with no start, a vertex of the tree starts at its root
+            face = face or (tree.root(Simplex([x])) if x in tree.origins
+                            else base.locate(x)[0])
             assert got.rank == face.rank
             assert all(face.contains(v) for v in got.vertices)
             assert got in tree.final
@@ -527,6 +531,83 @@ def test_locate_final_descends_through_pieces(monkeypatch):
     assert tree.locate_final((F(3), F(3))) is None
     # only the base is scanned; finer levels are entered through pieces
     assert scanned and all(level is base for level in scanned)
+
+
+@functools.lru_cache(maxsize=1)
+def _two_cell_tree(rank, depth):
+    """Two rank-``rank`` simplices meeting in a facet, subdivided ``depth``
+    times; one tree is kept, so a run of examples shares it."""
+    s = rank - 1
+    facet = [tuple(s * (i == j) for j in range(s)) for i in range(s)]
+    cells = [Simplex([(0,) * s] + facet), Simplex(facet + [(2,) * s])]
+    return SubdividedComplex(SimplicialComplex(cells)).refine(depth)
+
+
+def _trial_descent(tree, x, start):
+    """The descent the sorted coordinates replaced, kept as a reference:
+    per level, the first piece of the cell that holds ``x``, by one
+    barycentric solve per piece tried."""
+    hit = start
+    for pieces in tree.pieces:
+        hit = next((piece, coords) for piece in pieces[hit[0].key]
+                   for coords in [piece.barycentric(x)]
+                   if not isinstance(coords, Outside))
+    return hit
+
+
+@pytest.mark.parametrize("rank,depth", [(2, 1), (2, 2), (2, 3), (3, 1),
+                                        (3, 2), (3, 3), (4, 1), (4, 2)])
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sorted_coordinate_descent_matches_the_trial_descent(rank, depth,
+                                                             data):
+    # small integer weights give ties, zeros put the point on a face (the
+    # shared facet when the second cell's apex weighs nothing) or a vertex
+    tree = _two_cell_tree(rank, depth)
+    cell = data.draw(st.sampled_from(tree.base.tops()))
+    w = data.draw(st.lists(st.integers(0, 3), min_size=rank,
+                           max_size=rank).filter(any))
+    coords = tuple(F(c, sum(w)) for c in w)
+    x = combine(cell.vertices, coords)
+    face = Simplex.trusted([v for v, c in zip(cell.vertices, w) if c])
+    for start in [(cell, coords), (face, tuple(c for c in coords if c)),
+                  None]:
+        got, mu = tree.locate_final(x, start)
+        assert got in tree.final and got.contains(x)
+        assert mu == got.barycentric(x)
+        if start is None:
+            continue
+        assert got.rank == start[0].rank
+        assert all(start[0].contains(v) for v in got.vertices)
+        want, want_mu = _trial_descent(tree, x, start)
+        if all(want_mu):  # x inside the reference cell: no other holds it
+            assert got == want and mu == want_mu
+
+
+def test_locate_final_makes_no_solve(monkeypatch):
+    tree = _two_cell_tree(3, 3)
+    rng = random.Random(5)
+    cases = []
+    for cell in tree.base.tops():
+        for _ in range(20):
+            w = [F(rng.randint(0, 4)) for _ in range(3)]
+            w[0] += 1
+            coords = tuple(c / sum(w) for c in w)
+            cases.append((combine(cell.vertices, coords), (cell, coords)))
+    solves = []
+    barycentric = Simplex.barycentric
+
+    def counted(self, x):
+        solves.append(x)
+        return barycentric(self, x)
+
+    monkeypatch.setattr(Simplex, "barycentric", counted)
+    for x, start in cases:
+        assert tree.locate_final(x, start)[0] in tree.final
+    # a vertex of any level starts at its root, here a base vertex
+    for v in tree.base.vertices():
+        assert tree.locate_final(v)[0].vertices == (v,)
+    assert solves == []
 
 
 def _seeded_points(rng, cx, count):
@@ -550,28 +631,21 @@ def _seeded_points(rng, cx, count):
     return points
 
 
-def test_memoized_locate_matches_fresh_scan():
+def test_locate_is_the_first_top_holding_the_point():
     rng = random.Random(23)
     tree = SubdividedComplex(SimplicialComplex([UNIT_TRIANGLE]))
     tree.refine(2)
     cx = tree.final
-    points = _seeded_points(rng, cx, 150)
-    queries = points + points[::-1]  # every point asked at least twice
     outcomes = set()
-    for x in queries:
+    for x in _seeded_points(rng, cx, 150):
+        holders = [top for top in cx.tops() if top.contains(x)]
         got = cx.locate(x)
-        # an identical complex that has answered nothing yet scans
-        fresh = SimplicialComplex(cx.simplices, close=False)
-        want = fresh.locate(x)
-        outcomes.add(want is None)
-        if want is None:
-            assert got is None
-            assert not cx.contains_point(x)
-            continue
-        assert got[0].key == want[0].key  # the first hit in tops() order
-        assert got[1] == want[1]
-        assert all(type(c) is F for c in got[1])
-        assert cx.contains_point(x)
+        outcomes.add(got is None)
+        assert (got is None) == (not holders) == (not cx.contains_point(x))
+        if got is not None:
+            assert got[0] is holders[0]  # the first hit in tops() order
+            assert got[1] == holders[0].barycentric(x)
+            assert all(type(c) is F for c in got[1])
     assert outcomes == {True, False}
 
 
