@@ -373,21 +373,17 @@ class ThetaEngine:
 
     @cached_property
     def grid(self):
-        """``bsd^bake_level`` of the final complex as its subdivision,
-        built once: the origin of a grid vertex is the final face that
-        carries it."""
+        """``bsd^bake_level`` of the final complex, as its subdivision."""
         return SubdividedComplex(self.tree.final).refine(
             self.config.bake_level)
 
     @property
     def grid_complex(self):
-        """The grid's complex: every time slice and the endpoint are baked
-        on it."""
+        """The complex every time slice and the endpoint are baked on."""
         return self.grid.final
 
     def _root(self, x):
-        """``x`` located in its root in the base when it is a vertex of the
-        grid, as every vertex of the tree is; else None."""
+        """A grid (or tree) vertex ``x`` located in its root, else None."""
         face = self.grid.origins.get(x)
         return face and self.tree.rooted(x, self.tree.origin_of(face))
 
@@ -405,9 +401,7 @@ class ThetaEngine:
         ``start`` is a base simplex holding ``x`` and the coordinates of
         ``x`` in it, as an outer engine found them: a lower-rank final top,
         the positive-coordinate face of a top, or a cone exit face.  With
-        no start, a grid vertex starts at its root, where a PL ``gamma`` on
-        the base takes its value at ``x`` (``PLMap.at``), so neither
-        locates ``x``."""
+        none, a grid vertex starts at its root, which gives ``gamma``."""
         gamma = session.gamma
         if self.rank == 1:
             return (tuple(gamma(x)),) * len(ks)

@@ -2,11 +2,9 @@
 
 A ``PLMap`` stores one value per vertex of its domain complex and
 evaluates by exact point location plus barycentric combination, so
-composition stays exact.  A caller that has located a point already (a
-vertex of a subdivision, located in its root) hands the location in, and
-the point is not located again.  The map has one value at each point,
-whichever simplex carries it, so its values at non-vertex points are
-memoized.
+composition stays exact; a caller that located a point hands that in.
+The map has one value at each point, whichever simplex carries it, so its
+values at non-vertex points are memoized.
 ``FuncMap`` wraps an arbitrary callable behind the same evaluation
 interface: an evaluator takes one point and nothing else.
 """
@@ -42,19 +40,16 @@ class PLMap:
         self._memo = {}
 
     def eval_located(self, simplex, coords):
-        """Value at the point of ``simplex`` with barycentric ``coords``.
-        ``simplex`` is a simplex of the domain or lies in one, as a cell of
-        a subdivision of the domain does, so the map is affine on it; the
-        values at its vertices are the map's."""
+        """Value at the point of ``simplex`` with barycentric ``coords``;
+        ``simplex`` lies in one cell of the domain (a subdivision's does)."""
         return combine([self.at(v) for v in simplex.vertices], coords)
 
     def __call__(self, x):
         return self.at(tuple(x))
 
     def at(self, x, hit=None):
-        """The value at the tuple point ``x``.  ``hit``, a simplex holding
-        ``x`` with the coordinates of ``x`` in it (see ``eval_located``),
-        spares locating ``x`` in the domain."""
+        """The value at the tuple point ``x``; ``hit``, a simplex holding
+        ``x`` with its coordinates there, spares locating ``x``."""
         value = self.values.get(x)
         if value is None:
             value = self._memo.get(x)

@@ -92,11 +92,8 @@ class SimplicialComplex:
         return self.locate(x) is not None
 
     def locate(self, x):
-        """The first top simplex in ``tops()`` order containing ``x``,
-        with the coordinates of ``x`` in it, or None: one barycentric solve
-        per top tried.  This is for arbitrary points of a generic complex;
-        a subdivision locates its vertices from their origins and descends
-        with no solve (``SubdividedComplex.locate_final``)."""
+        """The first top containing ``x``, with the coordinates of ``x`` in
+        it, or None: a scan, for an arbitrary point of a generic complex."""
         x = tuple(x)
         for cell in self.tops():
             coords = cell.barycentric(x)
@@ -221,12 +218,8 @@ def bsd_with_parents(complex_):
     Returns ``(subdivided, pieces)`` where ``pieces`` maps the key of each
     input simplex to the cells of its own rank that subdivide it: its
     maximal chains, which start at a vertex and go up one rank at a time.
-    A cell's vertices are its chain's centers in chain order, and its ids
-    in the subdivision's grid are its chain's places in ``pieces``, whose
-    keys are in that order; so a piece's chain names the order in which
-    it adds the simplex's vertices, which is how ``locate_final`` picks
-    it.  No index of that is made here, as building a level locates
-    nothing.
+    A cell's vertices are its chain's centers in chain order; its ids in
+    the subdivision's grid are its chain's places in ``pieces``.
 
     Each center is an integer sum of rows of the input's grid (read from
     the complex the first time); the subdivision's grid numbers it by
@@ -309,8 +302,7 @@ class SubdividedComplex:
     vertex its "origin": the vertex set of the minimal base simplex whose
     relative interior carries it.  A vertex lies in a base simplex exactly
     when its origin is the key of a face of it, so constraint and root
-    queries become lookups of origin sets, and a vertex is located in its
-    root with no scan (``rooted``).
+    queries become lookups of origin sets.
     """
 
     def __init__(self, base):
@@ -390,13 +382,12 @@ class SubdividedComplex:
         return m
 
     def root(self, simplex):
-        """Minimal base simplex carrying ``simplex``, a simplex of the
-        final complex."""
+        """Minimal base simplex carrying the final simplex ``simplex``."""
         return self.base._by_key[self.origin_of(simplex.key)]
 
     def origin_of(self, key):
-        """The origin of the final simplex ``key``: the union of its
-        vertices' origin sets, read by their ids in the final grid."""
+        """The union of the origins of the final simplex ``key``'s vertices,
+        read by their ids in the final grid."""
         known = self._final_origins
         if known is None:
             return key
@@ -404,9 +395,8 @@ class SubdividedComplex:
             *(known[i] for i in self.final._grid.ids[key]))
 
     def rooted(self, x, origin):
-        """``x`` located in the base simplex ``origin`` names, which
-        carries it: the root with the coordinates of ``x`` in it, by one
-        barycentric solve, or none when the root is a vertex."""
+        """The base simplex ``origin`` names, which carries ``x``, with the
+        coordinates of ``x`` in it (a solve, none at a vertex)."""
         root = self.base._by_key[origin]
         return root, (RAT(1),) if root.rank == 1 else root.barycentric(x)
 
@@ -415,15 +405,12 @@ class SubdividedComplex:
 
         Starts at ``start``, a base simplex holding ``x`` and the
         coordinates of ``x`` in it, taken as given; else at the root of a
-        vertex of the tree, else at the base top ``base.locate`` finds.
-        Then it descends with no solve, on the coordinates' integer
-        numerators over one denominator.  If ``x`` has coordinates ``λ``
-        in a cell, the piece of ``bsd`` holding it is the chain of faces
-        spanned by the cell's vertices in decreasing order of ``λ``, where
-        its coordinates are ``μ_k = (k+1)(λ_(k) - λ_(k+1))``, with
-        ``λ_(r) = 0`` (Munkres, *Elements of Algebraic Topology*, §15).
-        A tie picks one of the pieces holding ``x``.  The final cell has
-        the start's rank.
+        vertex of the tree, else at the base top ``base.locate`` finds.  It
+        descends with no solve: in a cell where ``x`` has coordinates
+        ``λ``, the piece holding it is the chain spanned by the vertices in
+        decreasing order of ``λ`` (a tie picks one), with coordinates
+        ``μ_k = (k+1)(λ_(k) - λ_(k+1))``, ``λ_(r) = 0`` (Munkres, 1984,
+        §15), here on integer numerators over one denominator.
         """
         x = tuple(x)
         if start is None:
@@ -444,12 +431,9 @@ class SubdividedComplex:
         return cell, tuple(RAT(n, den) for n in nums)
 
     def _piece(self, level, key, order):
-        """The piece of the cell ``key`` of ``level`` whose chain adds the
-        cell's vertices at the places ``order`` of its vertex tuple.  A
-        cell's pieces are indexed by these orders at the first descent
-        through it: the ids of a piece in the next grid are the places of
-        its chain's faces in ``pieces``, and the ids of those faces list
-        the vertices each one adds."""
+        """The piece of cell ``key`` whose chain adds its vertices in
+        ``order``; a cell's pieces are indexed at its first descent, from
+        the ids of their chains' faces."""
         if level not in self._orders:
             self._orders[level] = list(self.pieces[level]), {}
         faces, index = self._orders[level]
