@@ -373,19 +373,10 @@ class ThetaEngine:
 
     @cached_property
     def grid(self):
-        """``bsd^bake_level`` of the final complex, as its subdivision."""
+        """``bsd^bake_level`` of the final complex, as its subdivision:
+        every time slice and the endpoint are baked on its final."""
         return SubdividedComplex(self.tree.final).refine(
             self.config.bake_level)
-
-    @property
-    def grid_complex(self):
-        """The complex every time slice and the endpoint are baked on."""
-        return self.grid.final
-
-    def _root(self, x):
-        """A grid (or tree) vertex ``x`` located in its root, else None."""
-        face = self.grid.origins.get(x)
-        return face and self.tree.rooted(x, self.tree.origin_of(face))
 
     def theta(self, session, x, ks, den, start=None):
         """Values of the homotopy at ``x`` for the bound map, one per time
@@ -406,7 +397,8 @@ class ThetaEngine:
         if self.rank == 1:
             return (tuple(gamma(x)),) * len(ks)
         if start is None:
-            start = self._root(x)
+            face = self.grid.origins.get(x)
+            start = face and self.tree.rooted(x, self.tree.origin_of(face))
             if start and _is_pl(gamma) and start[0] in gamma.domain:
                 gamma.at(x, start)
         hit = self.tree.locate_final(x, start)
@@ -555,7 +547,7 @@ def _certify_grid(engine, rows, ts, seed):
     rng.  Sampled verdicts and those of cells other than grid tops are not
     reused.  A face constraint's cells are found once for all slices.
     """
-    grid = engine.grid_complex
+    grid = engine.grid.final
     order = {v: i for i, v in enumerate(grid.vertices())}
     at = {id(top): [order[v] for v in top.vertices] for top in grid.tops()}
     reused, subsets = {}, {}
@@ -1005,8 +997,8 @@ def individual_approximation(complex_, gamma0, spec, relative, model,
                          in zip(ks, start.values(x, ts), end.values(x, ts)))
 
     ts = tuple(RAT(k, config.t_grid) for k in range(config.t_grid + 1))
-    rows = [values(v, ts) for v in engine.grid_complex.vertices()]
-    eta_baked = bake_on(engine.grid_complex, [row[-1] for row in rows])
+    rows = [values(v, ts) for v in engine.grid.final.vertices()]
+    eta_baked = bake_on(engine.grid.final, [row[-1] for row in rows])
     beta, escaped = filt.absorbing_step(eta_baked.values.values(),
                                         at_least=alpha)
     if escaped is not None:
@@ -1076,7 +1068,7 @@ def verify_theta_properties(engine, gamma, plan=None, constant_cells=None):
         report["g"] = all(keeps(x, tuple(gamma(cell.vertices[0])))
                           for cell in constant_cells for x in points(cell))
 
-    rows = [session.values(v, t_grid) for v in engine.grid_complex.vertices()]
+    rows = [session.values(v, t_grid) for v in engine.grid.final.vertices()]
     grid = _certify_grid(engine, rows, t_grid, plan.seed)
     report["b"] = all(r["ok"] for r in grid)
     report["b_details"] = [{"t": r["t"], "ok": r["ok"]} for r in grid]
@@ -1089,7 +1081,7 @@ def verify_theta_properties(engine, gamma, plan=None, constant_cells=None):
     else:
         report["c"] = None
 
-    eta_baked = bake_on(engine.grid_complex, [row[-1] for row in rows])
+    eta_baked = bake_on(engine.grid.final, [row[-1] for row in rows])
     beta, escaped = engine.model.filtration.absorbing_step(
         eta_baked.values.values())
     report["d"] = {"beta": beta, "escaped": escaped}

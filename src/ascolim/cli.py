@@ -184,7 +184,6 @@ def cmd_experiment(args, config):
         if not args.graph:
             raise InputError("experiment pi0 needs --graph")
         cmodel = ser.obj_to_component_model(_load(args.graph))
-        cmodel.validate_edges()
         report = pi0_report(cmodel)
         if args.basepoint is not None:
             report["union_check"] = component_union_check(cmodel,

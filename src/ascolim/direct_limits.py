@@ -30,13 +30,8 @@ class Poset:
             leq[i][i] = True
         for a, b in relation:
             leq[idx[a]][idx[b]] = True
-        changed = True
-        while changed:  # transitive closure, tiny posets only
-            changed = False
-            for i, j, k in product(range(n), repeat=3):
-                if leq[i][j] and leq[j][k] and not leq[i][k]:
-                    leq[i][k] = True
-                    changed = True
+        for j, i, k in product(range(n), repeat=3):  # Warshall's closure
+            leq[i][k] = leq[i][k] or (leq[i][j] and leq[j][k])
         for i in range(n):
             for j in range(i + 1, n):
                 if leq[i][j] and leq[j][i]:
@@ -99,20 +94,12 @@ class DirectSystemOfSets:
                 if fn[x] not in self.objects[b]:
                     raise InputError(
                         f"bonding {a!r}->{b!r} leaves the target at {x!r}")
-        # functoriality over all chains a <= b <= c
-        for a in po.elements:
-            for b in po.elements:
-                if a == b or not po.leq(a, b):
-                    continue
-                for c in po.elements:
-                    if b == c or not po.leq(b, c):
-                        continue
-                    for x in self.objects[a]:
-                        if self.map(c, b, self.map(b, a, x)) \
-                                != self.map(c, a, x):
-                            raise InputError(
-                                f"functoriality fails at {x!r} along "
-                                f"{a!r}<={b!r}<={c!r}")
+        # functoriality over all chains a < b < c
+        for (a, b), (b2, c) in product(po.related_pairs(), repeat=2):
+            for x in self.objects[a] if b == b2 else ():
+                if self.map(c, b, self.map(b, a, x)) != self.map(c, a, x):
+                    raise InputError(f"functoriality fails at {x!r} along "
+                                     f"{a!r}<={b!r}<={c!r}")
         return True
 
 

@@ -94,11 +94,8 @@ class Filtration:
 
     def subspace_region(self, label):
         dim = self.ambient_dim
-        dirs = []
-        for i in sorted(self.coord_sets[label]):
-            e = [RAT(0)] * dim
-            e[i] = RAT(1)
-            dirs.append(tuple(e))
+        dirs = [tuple(RAT(int(i == d)) for d in range(dim))
+                for i in sorted(self.coord_sets[label])]
         return AffineSubspace((RAT(0),) * dim, dirs)
 
 
@@ -430,20 +427,15 @@ def validate_well_filled_chart(chart, model, rng=None, samples=60,
 # -- chart surgery ----------------------------------------------------------
 
 
-def _image_of_region(phi, region):
-    if phi.is_translation:
-        if all(c == 0 for c in phi.offset):
-            return region
-        return region.translate(phi.offset)
-    raise InputError("region images only supported for translation charts")
-
-
-def _preimage_of_region(phi, region):
-    if phi.is_translation:
-        if all(c == 0 for c in phi.offset):
-            return region
-        return region.translate(tuple(-c for c in phi.offset))
-    raise InputError("region preimages only supported for translation charts")
+def _image_of_region(phi, region, sign=1):
+    """``phi(region)`` of a translation chart; its preimage for ``sign``
+    -1."""
+    if not phi.is_translation:
+        raise InputError("region images and preimages only supported for "
+                         "translation charts")
+    if all(c == 0 for c in phi.offset):
+        return region
+    return region.translate(tuple(sign * c for c in phi.offset))
 
 
 def shrink_chart(chart, q, neighborhood, max_radius=1, depth=40):
@@ -477,7 +469,7 @@ def shrink_chart(chart, q, neighborhood, max_radius=1, depth=40):
     new_core = Intersection([OpenBall(center, q_radius), chart.core])
     return WellFilledChart(
         filtration=chart.filtration,
-        domain=_preimage_of_region(chart.phi, new_image),
+        domain=_image_of_region(chart.phi, new_image, -1),
         phi=chart.phi,
         image=new_image,
         core=new_core,
@@ -492,7 +484,7 @@ def quarter_core(chart, q, max_radius=1, depth=40):
     Realized by the shrink construction with the chart core as the
     target neighbourhood.
     """
-    core_domain = _preimage_of_region(chart.phi, chart.core)
+    core_domain = _image_of_region(chart.phi, chart.core, -1)
     inner = shrink_chart(chart, q, Intersection([core_domain, chart.domain]),
                          max_radius=max_radius, depth=depth)
     return inner.core

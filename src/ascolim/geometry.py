@@ -147,11 +147,8 @@ class Simplex:
 
     def faces(self):
         """All proper nonempty faces, as simplices."""
-        out = []
-        for k in range(1, self.rank):
-            for idx in combinations(range(self.rank), k):
-                out.append(Simplex.trusted([self.vertices[i] for i in idx]))
-        return out
+        return [Simplex.trusted(vs) for k in range(1, self.rank)
+                for vs in combinations(self.vertices, k)]
 
     def facets(self):
         """Faces of rank r-1 (the boundary pieces)."""

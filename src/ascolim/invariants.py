@@ -168,7 +168,7 @@ class ComponentModel:
 
     Nodes are shared: each step names a subset of the global node list
     (monotone along the chain), edges per step connect nodes whose segment
-    lies in the step (exact where the region algebra decides).  The
+    lies in the step (certified by the region algebra).  The
     ambient graph is the union of the step graphs plus optional extra
     edges certified in the carrier only.
     """
@@ -193,25 +193,20 @@ class ComponentModel:
         """Certify each edge segment inside its carrier, exactly; an edge
         the region algebra cannot decide is an ``InputError`` naming the
         step and the edge, as one that leaves the carrier is."""
-        report = []
+        filt, carrier = self.model.filtration, self.model.carrier
         for a in self.labels:
             for (i, j) in self.step_edges.get(a, []):
                 p, q = self.nodes[i], self.nodes[j]
-                ok_sub = self.model.filtration.subspace_contains(a, p) \
-                    and self.model.filtration.subspace_contains(a, q)
-                got = self.model.carrier.contains_hull([p, q])
-                if not ok_sub or got is not True:
+                if not (filt.subspace_contains(a, p)
+                        and filt.subspace_contains(a, q)
+                        and carrier.contains_hull([p, q]) is True):
                     raise InputError(f"edge {(i, j)} not certified "
                                      f"in step {a!r}")
-                report.append({"step": str(a), "edge": (i, j),
-                               "subspace": ok_sub, "carrier": got})
         for (i, j) in self.ambient_edges:
-            got = self.model.carrier.contains_hull([self.nodes[i],
-                                                    self.nodes[j]])
-            if got is not True:
+            if carrier.contains_hull([self.nodes[i], self.nodes[j]]) \
+                    is not True:
                 raise InputError(f"ambient edge {(i, j)} not certified "
                                  f"in the carrier")
-        return report
 
     def _components(self, node_ids, edges):
         parent = {i: i for i in node_ids}
@@ -256,30 +251,19 @@ def pi0_report(cmodel):
     comp = {a: cmodel.step_components(a) for a in labels}
     objects = {a: list(range(len(comp[a]))) for a in labels}
 
-    def comp_index(a, node):
-        for ci, c in enumerate(comp[a]):
-            if node in c:
-                return ci
-        raise InputError(f"node {node} missing from step {a!r}")
-
     bonding = {}
     for ai, a in enumerate(labels):
         for b in labels[ai + 1:]:
-            bonding[(b, a)] = {ci: comp_index(b, min(comp[a][ci]))
-                               for ci in objects[a]}
+            bonding[(b, a)] = {
+                ci: _component_index(comp[b], min(comp[a][ci]),
+                                     f"step {b!r}") for ci in objects[a]}
     system = DirectSystemOfSets(poset, objects, bonding)
     colim = set_colimit(system)
 
     ambient = cmodel.ambient_components()
-
-    def ambient_index(node):
-        for ci, c in enumerate(ambient):
-            if node in c:
-                return ci
-        raise InputError(f"node {node} missing from the ambient graph")
-
     cone = Cone(system,
-                {a: {ci: ambient_index(min(comp[a][ci]))
+                {a: {ci: _component_index(ambient, min(comp[a][ci]),
+                                          "the ambient graph")
                      for ci in objects[a]} for a in labels},
                 target=list(range(len(ambient))))
     values, report = universal_map(colim, cone)
@@ -294,6 +278,14 @@ def pi0_report(cmodel):
         "injective": report.injective,
         "witnesses_verified": colim.verify_witnesses(),
     }
+
+
+def _component_index(comps, node, where):
+    """The place in ``comps`` of the component holding ``node``."""
+    for ci, c in enumerate(comps):
+        if node in c:
+            return ci
+    raise InputError(f"node {node} missing from {where}")
 
 
 def component_union_check(cmodel, node):
@@ -394,7 +386,6 @@ def annulus_homotopy_values(sigma, tau, axis, u_levels, den=2 ** 20):
         raise InputError("loops must share the basepoint")
     n = len(sigma.vertices)
     i, j = axis
-    dim = sigma.dim
     a_sig = _unwrapped_angles(sigma.vertices + [sigma.basepoint], axis)
     a_tau = _unwrapped_angles(tau.vertices + [tau.basepoint], axis)
     # equal winding: the unwrapped angle increments close up equally
@@ -413,15 +404,9 @@ def annulus_homotopy_values(sigma, tau, axis, u_levels, den=2 ** 20):
         for k in range(n):
             ang = (1 - u) * a_sig[k] + u * a_tau[k]
             rad = (1 - u) * r_sig[k] + u * r_tau[k]
-            p = [0.0] * dim
-            for d in range(dim):
-                if d == i:
-                    p[d] = rad * math.cos(ang)
-                elif d == j:
-                    p[d] = rad * math.sin(ang)
-                else:
-                    p[d] = ((1 - u) * float(sigma.vertices[k][d])
-                            + u * float(tau.vertices[k][d]))
+            p = [(1 - u) * float(a) + u * float(b)
+                 for a, b in zip(sigma.vertices[k], tau.vertices[k])]
+            p[i], p[j] = rad * math.cos(ang), rad * math.sin(ang)
             row.append(tuple(_round_rat(c, den) for c in p))
         rows.append(row)
     return rows
@@ -467,14 +452,9 @@ def injectivity_leg(model, sigma, tau, config=None, u_levels=4):
     record = individual_approximation(prism, gamma0, spec, relative, model,
                                       alpha=alpha, config=config)
     # endpoint loops of the step homotopy stay the inputs exactly
-    frozen_ok = True
-    for k, d in enumerate(dom_pts):
-        if tuple(record.eta(tuple(d) + (RAT(0),))) \
-                != tuple(sigma.vertices[k]):
-            frozen_ok = False
-        if tuple(record.eta(tuple(d) + (RAT(1),))) \
-                != tuple(tau.vertices[k]):
-            frozen_ok = False
+    frozen_ok = all(tuple(record.eta(tuple(d) + (u,))) == loop.vertices[k]
+                    for u, loop in ((RAT(0), sigma), (RAT(1), tau))
+                    for k, d in enumerate(dom_pts))
     return {
         "winding": w_s,
         "alpha": alpha,

@@ -243,12 +243,7 @@ class Intersection(Region):
         return all(p.contains(x) for p in self.parts)
 
     def contains_hull(self, points):
-        got = [part.contains_hull(points) for part in self.parts]
-        if all(g is True for g in got):
-            return True
-        if any(g is False for g in got):
-            return False
-        return None
+        return _conjunction([p.contains_hull(points) for p in self.parts])
 
     def translate(self, shift):
         return Intersection([p.translate(shift) for p in self.parts])
@@ -295,6 +290,14 @@ class Complement(Region):
         return not self.region.contains(x)
 
 
+def _conjunction(verdicts):
+    """All of three-valued ``verdicts``: True when each is True, False when
+    one is False, else None."""
+    if all(g is True for g in verdicts):
+        return True
+    return False if any(g is False for g in verdicts) else None
+
+
 def region_subset(inner, outer):
     """Symbolic ``inner ⊆ outer``; ``None`` when no rule applies."""
     if isinstance(outer, FullSpace):
@@ -308,19 +311,9 @@ def region_subset(inner, outer):
         if shifted is not None:
             return region_subset(inner, shifted)
     if isinstance(outer, Intersection):
-        got = [region_subset(inner, p) for p in outer.parts]
-        if all(g is True for g in got):
-            return True
-        if any(g is False for g in got):
-            return False
-        return None
+        return _conjunction([region_subset(inner, p) for p in outer.parts])
     if isinstance(inner, Union):
-        got = [region_subset(p, outer) for p in inner.parts]
-        if all(g is True for g in got):
-            return True
-        if any(g is False for g in got):
-            return False
-        return None
+        return _conjunction([region_subset(p, outer) for p in inner.parts])
     if isinstance(inner, Intersection):
         if any(region_subset(p, outer) is True for p in inner.parts):
             return True

@@ -37,9 +37,7 @@ class SimplicialComplex:
         dim = gen[0].dim
         if any(s.dim != dim for s in gen):
             raise InputError("simplices of mixed ambient dimension")
-        pool = {}
-        for s in gen:
-            pool[s.key] = s
+        pool = {s.key: s for s in gen}
         if close:
             stack = list(gen)
             while stack:
@@ -438,16 +436,14 @@ class SubdividedComplex:
             self._orders[level] = list(self.pieces[level]), {}
         faces, index = self._orders[level]
         if key not in index:
-            ids, chains = self.levels[level]._grid.ids, \
-                self.levels[level + 1]._grid.ids
+            ids = self.levels[level]._grid.ids
             place = {v: i for i, v in enumerate(ids[key])}
             index[key] = {}
             for piece in self.pieces[level][key]:
-                seen, adds = set(), []
-                for p in chains[piece.key]:
-                    adds += [place[v] for v in ids[faces[p]] if v not in seen]
-                    seen.update(ids[faces[p]])
-                index[key][tuple(adds)] = piece
+                chain = [set(ids[faces[p]])
+                         for p in self.levels[level + 1]._grid.ids[piece.key]]
+                adds = (min(b - a) for a, b in zip([set()] + chain, chain))
+                index[key][tuple(map(place.get, adds))] = piece
         return index[key][order]
 
 

@@ -463,7 +463,7 @@ def test_grid_check_hull_tests_the_pieces_of_an_edge_constraint(
     assert all(r["details"][1] == {"constraint": 1, "ok": True,
                                    "mode": "exact"}
                for r in record.grid_reports)
-    grid = record.engine.grid_complex
+    grid = record.engine.grid.final
     pieces = [s for s in grid.simplices
               if s.rank == 2 and all(edge.contains(v) for v in s.vertices)]
     assert len(pieces) == 2
@@ -496,7 +496,7 @@ def test_grid_check_finds_a_face_constraints_pieces_once(monkeypatch):
                                       alpha=1, config=CONFIG)
     assert len(volumes) == 1
     [(engine, rows, ts, seed)] = grid_args
-    grid = engine.grid_complex
+    grid = engine.grid.final
     afresh = []
     for k, t in enumerate(ts):
         column = [row[k] for row in rows]
@@ -541,7 +541,7 @@ def test_property_check_reuses_the_grid_complex(monkeypatch):
                                      SamplingPlan(t_points=3))
     assert calls == []
     assert report["b"] is True
-    assert record.engine.grid_complex is record.eta_baked.domain
+    assert record.engine.grid.final is record.eta_baked.domain
 
 
 def test_cell_regions_through_origin_faces_keep_spec_order():
@@ -623,7 +623,7 @@ def test_grid_check_reuses_hull_verdicts_only_where_sound(monkeypatch):
                                  HalfSpace((1, 0), F(3, 4))])),
         Constraint(Simplex([(1, 1)]), HalfSpace((-1, 0), -5)),
     ])
-    engine = SimpleNamespace(grid_complex=grid, spec=spec)
+    engine = SimpleNamespace(grid=SimpleNamespace(final=grid), spec=spec)
     start = {v: (F(v[0]), F(v[1])) for v in grid.vertices()}
     moved = dict(start)
     moved[(1, 1)] = (F(6), F(1))

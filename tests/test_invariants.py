@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ascolim import approximation, geometry, linalg, rats, simplicial
 from ascolim.approximation import (BoundTheta, Constraint, EngineConfig,
@@ -152,6 +154,41 @@ def test_surjectivity_leg_frozen_probe_is_noop():
     assert leg["beta"] == 1
 
 
+CORNERS = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+ODD_EIGHTHS = st.sampled_from([F(k, 8) for k in (-7, -5, -3, -1, 1, 3, 5, 7)])
+
+
+def square_loop(winding, offsets):
+    """The square's corners traversed ``|winding|`` times, backwards for a
+    negative winding, or there and back for winding 0, in R^4; every
+    vertex but the basepoint gets the ``offsets`` in coordinates 2-3."""
+    if winding == 0:
+        pts = CORNERS + CORNERS[2:0:-1]
+    else:
+        pts = CORNERS * abs(winding)
+        if winding < 0:
+            pts = [pts[0]] + pts[:0:-1]
+    offsets = [(F(0), F(0))] + list(offsets)
+    return LoopModel([(F(a), F(b)) + off
+                      for (a, b), off in zip(pts, offsets)], axis=(0, 1))
+
+
+@pytest.mark.parametrize("winding", range(-2, 4))
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(offsets=st.lists(st.tuples(ODD_EIGHTHS, ODD_EIGHTHS), min_size=11,
+                        max_size=11))
+def test_surjectivity_leg_keeps_the_winding(winding, offsets):
+    # coordinate 3 is off every step, so each vertex but the basepoint is
+    # an anchor value pushed onto a step point
+    model = plane_model(4, [(1, {0, 1}), (2, {0, 1, 2})])
+    probe = square_loop(winding, offsets)
+    leg = surjectivity_leg(model, probe, FAST)
+    assert leg["winding_before"] == winding
+    assert leg["winding_after"] == leg["winding_before"]
+    assert leg["pushed"] == len(probe.vertices) - 1
+    assert leg["beta"] == 2 and leg["grid_ok"]
+
+
 def test_injectivity_leg_two_square_shapes(monkeypatch):
     model = plane_model(4, [(1, {0, 1}), (2, {0, 1, 2, 3})])
     sigma = unit_square_loop(dim=4)
@@ -270,7 +307,7 @@ def _per_time_reference(record, gamma0, n, seed):
     map; ``g_t`` is the old push map, or ``gamma0`` when nothing was
     pushed), evaluated at ``t`` vertex by vertex, baked and checked."""
     engine = record.engine
-    grid = engine.grid_complex
+    grid = engine.grid.final
     columns, reports = [], []
     for k in range(n + 1):
         t = F(k, n)
@@ -316,7 +353,7 @@ def test_grid_table_equals_per_time_evaluation(case):
     columns, reports = _per_time_reference(record, gamma0, n, config.seed)
     assert record.grid_reports == reports
     assert record.grid_ok
-    grid = record.engine.grid_complex
+    grid = record.engine.grid.final
     assert record.eta_baked.values == dict(zip(grid.vertices(), columns[-1]))
     ts = tuple(F(k, n) for k in range(n + 1))
     start = BoundTheta(record.engine, gamma0)
