@@ -310,7 +310,7 @@ class SubdividedComplex:
                         for v in base.vertices()}
         self._meshes = [None]  # squared mesh of each level, once computed
         self._final_origins = None  # by vertex id of a subdivided final
-        self._orders = {}  # level -> (its face keys, cell key -> pieces)
+        self._orders = {}  # level -> (face keys, cell key -> order -> piece)
 
     @property
     def base(self):
