@@ -124,22 +124,19 @@ class NeighborhoodSpec:
     def __len__(self):
         return len(self.constraints)
 
-    def check_map(self, complex_, evaluator, rng=None, samples=2, *,
-                  _table=None):
+    def check_map(self, complex_, evaluator, *, _table=None):
         """Membership of a map, constraint by constraint.
 
-        Cell images are checked exactly through hull containment where
-        the region algebra decides; anything undecidable falls back to
-        seeded barycentric sampling.  Returns ``(ok, details)``.
+        Cell images are checked exactly, by hull containment where the
+        region algebra decides or by a vertex image outside; any other
+        cell is ``"undecided"`` and fails.  Returns ``(ok, details)``.
         ``_table`` is private to ``_certify_grid``.
         """
-        rng = rng or random.Random(0)
         fn = as_evaluator(evaluator)
         details = []
         ok = True
         for i, con in enumerate(self.constraints):
-            verdict, mode = _check_constraint(complex_, fn, con, rng,
-                                              samples, i, _table)
+            verdict, mode = _check_constraint(complex_, fn, con, i, _table)
             details.append({"constraint": i, "ok": verdict, "mode": mode})
             ok = ok and verdict
         return ok, details
@@ -156,82 +153,74 @@ def _is_pl(fn):
     return isinstance(fn, PLMap)
 
 
-def _image_inside(region, fn, cell, hull_ok, rng, samples, values=None):
+def _image_inside(region, fn, cell, hull_ok, values=None):
     """Does ``fn`` map the simplex ``cell`` into ``region``?
 
     ``values`` are the vertex images when the caller has them; otherwise
-    ``fn`` gives them.  The exact hull test when ``hull_ok`` and the
-    region algebra decides; otherwise the vertex images plus ``samples``
-    seeded probes drawn from ``rng``.  Returns ``(verdict,
-    decided_by_hull)``.
+    ``fn`` gives them.  The exact hull verdict when ``hull_ok`` and the
+    region algebra decides; else False when a vertex image leaves the
+    region, and None (undecided) otherwise.
     """
     if values is None:
         values = _map_values(fn, cell)
     got = region.contains_hull(values) if hull_ok else None
-    if got is not None:
-        return got, True
-    if any(not region.contains(v) for v in values):
-        return False, False
-    for _ in range(samples):
-        w = _random_weights(rng, cell.rank)
-        if not region.contains(fn(combine(cell.vertices, w))):
-            return False, False
-    return True, False
+    if got is None and not all(region.contains(v) for v in values):
+        return False
+    return got
 
 
-def _check_constraint(complex_, fn, con, rng, samples, index, table):
+def _check_constraint(complex_, fn, con, index, table):
     """Membership in one ``image of K inside W`` constraint, the one at
-    ``index`` in its spec.
+    ``index`` in its spec; the first cell not inside decides the mode.
 
     Only the image of K matters, so the cell-image check runs over the
     cells ``_subset_cells`` gives.  ``table`` is None or ``(column, at,
     reused, subsets)`` from ``_certify_grid``: ``fn`` is then the PL map
     of the grid through the vertex values ``column``, and ``at`` holds the
     column indices of each grid top's vertices, so a top's values are read
-    from the column and its hull verdict is reused where those values are
-    the same objects.  Other cells are evaluated through ``fn`` and their
-    verdicts are never reused.  ``subsets`` keeps each constraint's cells
-    for the next slice.
+    from the column and its decided verdict is reused where those values
+    are the same objects.  Other cells are evaluated through ``fn`` and
+    their verdicts are never reused.  ``subsets`` keeps each constraint's
+    cells for the next slice.
     """
     if isinstance(con.subset, CompactSample):
         return all(con.region.contains(fn(p))
                    for p in con.subset.points), "exact"
     column, at, reused, subsets = table or (None, {}, {}, {})
-    if con.subset == "all":
-        subsets[index] = complex_.tops(), True
-    elif index not in subsets:
+    if index not in subsets:
         subsets[index] = _subset_cells(complex_, con.subset)
     cells, affine = subsets[index]
     hull_ok = affine and (table is not None or _is_pl(fn))
-    exact = True
     for cell in cells:
         indices = at.get(id(cell))
         values = None if indices is None else [column[i] for i in indices]
         key = None if values is None else (index, id(cell),
                                            tuple(map(id, values)))
         ok = reused.get(key)
-        by_hull = ok is not None
-        if not by_hull:
-            ok, by_hull = _image_inside(con.region, fn, cell, hull_ok, rng,
-                                        samples, values)
-            if by_hull and key is not None:
+        if ok is None:
+            ok = _image_inside(con.region, fn, cell, hull_ok, values)
+            if ok is not None and key is not None:
                 reused[key] = ok
         if not ok:
-            return False, "exact" if by_hull else "sampled"
-        exact = exact and by_hull
-    return True, "exact" if exact else "sampled"
+            return False, "exact" if ok is False else "undecided"
+    return True, "exact"
 
 
 def _subset_cells(complex_, subset):
-    """The cells a ``Simplex`` subset K is checked on, and whether a PL map
-    on the complex is affine on each of them.
+    """The cells a constraint subset K, ``"all"`` or a ``Simplex``, is
+    checked on, and whether a PL map on the complex is affine on each of
+    them.
 
-    The simplices of the complex of K's rank inside K, when they cover K
-    (relative volumes summing to 1): a K the complex refines is checked
-    piece by piece.  Otherwise K itself, on which the map is affine when
-    one top of the complex holds all of K's vertices (a vertex, a K inside
-    one cell); on any other K the map may bend, so K is sampled.
+    ``"all"`` is checked on the tops.  A simplex on the simplices of the
+    complex of K's rank inside K, when they cover K (relative volumes
+    summing to 1): a K the complex refines is checked piece by piece.
+    Otherwise on K itself, on which the map is affine when one top of the
+    complex holds all of K's vertices (a vertex, a K inside one cell); on
+    any other K the map may bend, so only a vertex image outside the
+    region decides.
     """
+    if subset == "all":
+        return complex_.tops(), True
     pieces = sorted((s for s in complex_.simplices
                      if s.rank == subset.rank
                      and all(subset.contains(v) for v in s.vertices)),
@@ -531,21 +520,20 @@ def bake_on(complex_, column):
     return PLMap(complex_, column)
 
 
-def _certify_grid(engine, rows, ts, seed):
+def _certify_grid(engine, rows, ts):
     """Check the time slices ``ts`` against the engine's spec; ``rows``
     holds the values at the times ``ts`` per grid vertex, in ``vertices()``
     order.  Slice ``k`` is the PL map of the grid through column ``k``,
-    checked in full with a fresh ``random.Random(seed)``; one ``{"t",
-    "ok", "details"}`` report per slice.  A grid top's vertex values are
-    read from the column by the indices found here once, so the slice's
-    ``PLMap`` is baked only when a constraint needs a value the column does
-    not hold (a ``CompactSample`` point, a sampled probe, a cell other
-    than a grid top).  A hull-decided verdict on a constraint and a grid
-    top is reused in a later slice whose values at the top's vertices are
-    the very same objects (``rows`` holds them, so no id is reused): the
-    hull test would get the same exact input and draws nothing from the
-    rng.  Sampled verdicts and those of cells other than grid tops are not
-    reused.  A face constraint's cells are found once for all slices.
+    checked in full; one ``{"t", "ok", "details"}`` report per slice.  A
+    grid top's vertex values are read from the column by the indices found
+    here once, so the slice's ``PLMap`` is baked only when a constraint
+    needs a value the column does not hold (a ``CompactSample`` point, a
+    cell other than a grid top).  A decided verdict on a constraint and a
+    grid top is reused in a later slice whose values at the top's vertices
+    are the very same objects (``rows`` holds them, so no id is reused):
+    the verdict is a function of those values.  Undecided verdicts and
+    those of cells other than grid tops are not reused.  A face
+    constraint's cells are found once for all slices.
     """
     grid = engine.grid.final
     order = {v: i for i, v in enumerate(grid.vertices())}
@@ -555,7 +543,7 @@ def _certify_grid(engine, rows, ts, seed):
     for k, t in enumerate(ts):
         column = [row[k] for row in rows]
         ok, details = engine.spec.check_map(
-            grid, _baked_when_called(grid, column), rng=random.Random(seed),
+            grid, _baked_when_called(grid, column),
             _table=(column, at, reused, subsets))
         reports.append({"t": str(t), "ok": ok, "details": details})
     return reports
@@ -626,15 +614,16 @@ def _cell_regions_for(tree, spec, index, ambient_dim):
     return out
 
 
-def _first_violation(tree, gamma0, cell_regions, rng, probes):
-    """The first final top whose image leaves its constraint region."""
-    hull_ok = _is_pl(gamma0)
-    return next(
-        (cell for cell in tree.final.tops()
-         if not isinstance(cell_regions[cell.key], FullSpace)
-         and not _image_inside(cell_regions[cell.key], gamma0, cell,
-                               hull_ok, rng, probes)[0]),
-        None)
+def _first_violation(tree, gamma0, cell_regions):
+    """The first final top whose image is not inside its region, and its
+    verdict (False, or None: undecided); else ``(None, True)``."""
+    for cell in tree.final.tops():
+        region = cell_regions[cell.key]
+        inside = isinstance(region, FullSpace) \
+            or _image_inside(region, gamma0, cell, True)
+        if not inside:
+            return cell, inside
+    return None, True
 
 
 def _charts_fit(tree, gamma0, cell_regions, provider):
@@ -645,7 +634,8 @@ def _charts_fit(tree, gamma0, cell_regions, provider):
     and the barycenter image.  Returns ``(cores, None)``, or ``(None,
     cell)`` for the first cell with no admissible chart at this level.
     Every core ``chart_at`` returns is convex, so its hull test decides
-    by the vertex images alone, whether or not ``gamma0`` is affine.
+    by the vertex images alone; ``gamma0`` is affine on the cell, so that
+    verdict holds for the whole image.
     """
     charts = {}
     for cell in tree.final.tops():
@@ -680,9 +670,19 @@ def _point_text(p):
 
 def _violation_text(complex_, fn, spec, details):
     """Names the first failing constraint of ``details`` and the first
-    vertex (or sample point) of its subset whose image leaves its region."""
-    i = next(d["constraint"] for d in details if not d["ok"])
+    vertex (or sample point) of its subset whose image leaves its region;
+    for an undecided constraint, its first cell whose image the region
+    algebra cannot place."""
+    failed = next(d for d in details if not d["ok"])
+    i = failed["constraint"]
     con = spec.constraints[i]
+    text = f"base map violates the neighbourhood spec: constraint {i}"
+    if failed["mode"] == "undecided":
+        cells, affine = _subset_cells(complex_, con.subset)
+        cell = next(c for c in cells
+                    if _image_inside(con.region, fn, c, affine) is None)
+        return (f"{text} is undecided on the cell "
+                f"[{', '.join(map(_point_text, cell.vertices))}]")
     kind, points = "vertex", complex_.vertices()
     if isinstance(con.subset, CompactSample):
         kind, points = "sample point", con.subset.points
@@ -690,25 +690,24 @@ def _violation_text(complex_, fn, spec, details):
         points = [v for v in con.subset.vertices + tuple(points)
                   if con.subset.contains(v)]
     bad = next((p for p in points if not con.region.contains(fn(p))), None)
-    text = f"base map violates the neighbourhood spec: constraint {i}"
     if bad is None:
         return f"{text} leaves its region inside its subset"
     return (f"{text} maps the {kind} {_point_text(bad)} of its subset to "
             f"{_point_text(fn(bad))}, outside its region")
 
 
-def build_engine(tree, gamma0, spec, frozen, model, config, rng=None):
+def build_engine(tree, gamma0, spec, frozen, model, config):
     """Recursive engine construction.
 
     ``frozen`` holds the keys of the base simplices inside the frozen
     carrier; a top is frozen when its root is one of them.  The refinement
     level is the least one passing both the constraint-normalization and
     the chart-fit pass, mirroring the Lebesgue-number step at the
-    certified level.  When no level up to ``max_subdivision`` passes,
-    ``ChartCoverError`` names the last level, the pass that failed there
-    and its first failing cell with the cell's vertex images.
+    certified level.  ``gamma0`` is a ``PLMap`` on the base.  When no
+    level up to ``max_subdivision`` passes, ``ChartCoverError`` names the
+    last level, the pass that failed or was undecided there and its first
+    such cell with the cell's vertex images.
     """
-    rng = rng or random.Random(config.seed)
     rank = tree.final.rank
     if rank == 1:
         return ThetaEngine(
@@ -722,13 +721,11 @@ def build_engine(tree, gamma0, spec, frozen, model, config, rng=None):
     for level in range(config.max_subdivision + 1):
         if level:
             tree.refine()
-        if _is_pl(gamma0):  # affine on each cell of every engine's tree
-            for v in tree.final.vertices():
-                gamma0.at(v, tree.rooted(v, tree.origins[v]))
+        for v in tree.final.vertices():  # gamma0 is affine on each cell
+            gamma0.at(v, tree.rooted(v, tree.origins[v]))
         cell_regions = _cell_regions_for(tree, spec, index, model.ambient_dim)
         failed = "constraint"
-        bad = _first_violation(tree, gamma0, cell_regions, rng,
-                               config.probe_per_cell)
+        bad, inside = _first_violation(tree, gamma0, cell_regions)
         if bad is None:
             failed = "chart-fit"
             charts, bad = _charts_fit(tree, gamma0, cell_regions, provider)
@@ -740,8 +737,8 @@ def build_engine(tree, gamma0, spec, frozen, model, config, rng=None):
         raise ChartCoverError(
             "no refinement level admits a certified chart cover within "
             f"{config.max_subdivision} subdivisions: at level {level} the "
-            f"{failed} pass fails on the cell [{cell}] with vertex images "
-            f"[{images}]")
+            f"{failed} pass {'is undecided' if inside is None else 'fails'}"
+            f" on the cell [{cell}] with vertex images [{images}]")
 
     final = tree.final
     tops = final.tops()
@@ -768,7 +765,7 @@ def build_engine(tree, gamma0, spec, frozen, model, config, rng=None):
     skeleton_frozen = {sx.key for sx in skeleton.simplices
                        if tree.root(sx).key in frozen}
     sub_engine = build_engine(SubdividedComplex(skeleton), gamma0, sub_spec,
-                              skeleton_frozen, model, config, rng)
+                              skeleton_frozen, model, config)
 
     anchors = {T.key: min(T.vertices) for T in tops if T.rank == rank}
 
@@ -787,22 +784,24 @@ def simultaneous_approximation(complex_, gamma0, spec, relative, model,
                                config=None):
     """The full engine: returns ``(S, P, engine)``.
 
-    ``relative`` is a carrier of the input complex (or ``None``); its
-    cells are frozen pointwise for all times.  Bind the engine to a map
-    with ``BoundTheta`` to evaluate the homotopy.
+    ``gamma0`` is a ``PLMap`` on ``complex_``, so every membership verdict
+    on it is exact or undecided.  ``relative`` is a carrier of the input
+    complex (or ``None``); its cells are frozen pointwise for all times.
+    Bind the engine to a map with ``BoundTheta`` to evaluate the homotopy.
     """
     config = config or EngineConfig()
-    gamma0 = as_evaluator(gamma0)
+    if not isinstance(gamma0, PLMap):
+        raise InputError(f"the engine's input map must be a PLMap, got "
+                         f"{type(gamma0).__name__}")
     tree = SubdividedComplex(complex_)
-    rng = random.Random(config.seed)
 
-    ok, details = spec.check_map(tree.final, gamma0, rng=rng)
+    ok, details = spec.check_map(tree.final, gamma0)
     if not ok:
         raise InputError(_violation_text(tree.final, gamma0, spec, details))
 
     frozen = set() if relative is None else {
         s.key for s in complex_.simplices if relative.contains_simplex(s)}
-    engine = build_engine(tree, gamma0, spec, frozen, model, config, rng)
+    engine = build_engine(tree, gamma0, spec, frozen, model, config)
     return engine.S, engine.P, engine
 
 
@@ -871,46 +870,58 @@ def _push_targets(engine, gamma0, model):
 def _epsilon_for(moved, engine, gamma0, relative):
     """Dyadic push radius satisfying every exact disjointness and image
     condition; raises when the bisection depth is exhausted."""
-    s_points = [tuple(p) for p in engine.S]
+    bounds = [_push_bounds(x, engine, gamma0, relative)
+              for (x, _, _, _) in moved]
     eps = RAT(1)
     for _ in range(BISECTION_DEPTH):
-        if _epsilon_ok(eps, moved, s_points, engine, gamma0, relative):
+        if _epsilon_ok(eps, moved, bounds):
             return eps
         eps = eps / 2
     raise ResolutionExceededError("no admissible push radius")
 
 
-def _epsilon_ok(eps, moved, s_points, engine, gamma0, relative):
+def _push_bounds(x, engine, gamma0, relative):
+    """The radius-free part of the push test at the anchor ``x``: the
+    least failing squared radius (None: none), set by the other anchors,
+    the frozen carrier and the subsets of ``P`` without ``x``, and the
+    Lipschitz factor of each base top holding ``x``'s origin face."""
+    gaps = [sqdist(x, y) / 4 for y in map(tuple, engine.S) if y != x]
+    gaps.append(_relative_sqdist(relative, x))
+    gaps += [con.domain_sqdist(x) for con in engine.P
+             if not con.domain_contains(x)]
+    origin = _origin_face(engine, x)
+    factors = [_sqrt_upper(affine_lipschitz_sq_bound(
+                   cell, _map_values(gamma0, cell)))
+               for cell in engine.tree.base.tops() if origin <= cell.key]
+    return min((g for g in gaps if g is not None), default=None), factors
+
+
+def _origin_face(engine, x):
+    """The key of the minimal base simplex holding ``x``, a vertex of the
+    tree of ``engine`` or of a sub-engine, whose base is a skeleton of
+    the final complex above it."""
+    origin = engine.tree.origins.get(x)
+    if origin is None:
+        origin = engine.tree.origin_of(_origin_face(engine.sub, x))
+    return origin
+
+
+def _epsilon_ok(eps, moved, bounds):
     """Does the push radius ``eps`` keep each pushed anchor ``x`` clear of
     the other anchors, the frozen carrier and the subsets of ``P`` it is
-    not in, and its image in its core?  Near ``x`` a base top with
-    Lipschitz bound ``L`` maps into the closed ball of radius ``eps * L``
-    around ``gamma0(x)``; ``_sqrt_upper`` rounds ``L`` up, so
-    ``region_subset`` certifies a ball holding that one.  ``L = 0`` (a
-    constant top) leaves the point test ``gamma0(x) in core``.
+    not in, and its image in its core?  ``bounds`` holds ``_push_bounds``
+    per anchor.  Near ``x`` a base top with Lipschitz bound ``L`` maps
+    into the closed ball of radius ``eps * L`` around ``gamma0(x)``;
+    ``_sqrt_upper`` rounds ``L`` up, so ``region_subset`` certifies a ball
+    holding that one.  ``L = 0`` (a constant top) leaves the point test
+    ``gamma0(x) in core``.
     """
     eps_sq = eps * eps
-    for (x, gx, core, v_x) in moved:
-        for y in s_points:
-            if tuple(y) == x:
-                continue
-            if sqdist(x, y) <= 4 * eps_sq:
-                return False
-        rel_d = _relative_sqdist(relative, x)
-        if rel_d is not None and rel_d <= eps_sq:
+    for (_, gx, core, _), (gap, factors) in zip(moved, bounds):
+        if gap is not None and gap <= eps_sq:
             return False
-        for con in engine.P:
-            if con.domain_contains(x):
-                continue
-            d = con.domain_sqdist(x)
-            if d is not None and d <= eps_sq:
-                return False
-        # image control through the exact PL Lipschitz bound
-        for cell in engine.tree.base.tops():
-            if isinstance(cell.barycentric(x), Outside):
-                continue
-            values = [tuple(gamma0(v)) for v in cell.vertices]
-            r = eps * _sqrt_upper(affine_lipschitz_sq_bound(cell, values))
+        for factor in factors:
+            r = eps * factor
             if r == 0:
                 inside = core.contains(gx)
             else:
@@ -1004,7 +1015,7 @@ def individual_approximation(complex_, gamma0, spec, relative, model,
     if escaped is not None:
         raise AbsorptionError("endpoint escapes every step",
                               witness=escaped)
-    grid_reports = _certify_grid(engine, rows, ts, config.seed)
+    grid_reports = _certify_grid(engine, rows, ts)
 
     return HomotopyRecord(
         homotopy=lambda x, t: values(x, (t,))[0],
@@ -1069,7 +1080,7 @@ def verify_theta_properties(engine, gamma, plan=None, constant_cells=None):
                           for cell in constant_cells for x in points(cell))
 
     rows = [session.values(v, t_grid) for v in engine.grid.final.vertices()]
-    grid = _certify_grid(engine, rows, t_grid, plan.seed)
+    grid = _certify_grid(engine, rows, t_grid)
     report["b"] = all(r["ok"] for r in grid)
     report["b_details"] = [{"t": r["t"], "ok": r["ok"]} for r in grid]
 

@@ -130,9 +130,8 @@ def cmd_colimit(args, config):
 def cmd_validate_chart(args, config):
     chart = ser.obj_to_chart(_load(args.chart))
     model = ser.obj_to_model(_load(args.model))
-    report = validate_well_filled_chart(
-        chart, model, rng=random.Random(config.seed),
-        as_weak_direct_limit=args.weak)
+    report = validate_well_filled_chart(chart, model,
+                                        as_weak_direct_limit=args.weak)
     _emit(report.as_obj(), args.out)
     return 0 if report.ok else 4
 

@@ -6,7 +6,7 @@ intersections, unions, complements and translations.  Membership of a
 rational point is decided exactly; each node reports convexity and
 openness.  On top of plain membership the module offers partial symbolic
 reasoning: ``region_subset`` answers ``A ⊆ B`` for the primitive pairs
-chart surgery needs (``None`` means "unknown, sample-check"), and
+chart surgery needs (``None`` means "undecided"), and
 ``contains_hull`` decides containment of a point set's convex hull (a
 segment, a simplex) exactly for convex nodes and for the plane
 complement.
@@ -39,7 +39,7 @@ class Region:
 
         Convex regions decide by the vertices alone; the plane complement
         decides by a separating direction or an exact feasibility test.
-        ``None`` means sample.
+        ``None`` means undecided.
         """
         if self.is_convex:
             return all(self.contains(p) for p in points)

@@ -1,6 +1,7 @@
 """The simultaneous/individual approximation engine on small models."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -17,12 +18,13 @@ from ascolim.approximation import (BoundTheta, Constraint, EngineConfig,
                                    individual_approximation,
                                    simultaneous_approximation,
                                    verify_theta_properties)
-from ascolim.errors import InputError, ResolutionExceededError
+from ascolim.errors import (ChartCoverError, InputError,
+                            ResolutionExceededError)
 from ascolim.filling import fill
 from ascolim.filtered_spaces import (CompactSample, FilteredSpaceModel,
                                      Filtration)
 from ascolim.geometry import Simplex, combine
-from ascolim.plmaps import PLMap
+from ascolim.plmaps import FuncMap, PLMap
 from ascolim.regions import (CoordinatePlaneComplement, FullSpace,
                              HalfSpace, Intersection, OpenBall, Union)
 from ascolim.simplicial import (SimplicialComplex, SubcomplexCarrier,
@@ -401,15 +403,17 @@ def test_face_constraint_on_a_refined_complex_checks_its_pieces():
         sub, gamma) == (True, [{"constraint": 0, "ok": True,
                                 "mode": "exact"}])
     # an edge across several tops and covered by none of the complex's
-    # edges may bend anywhere: it is sampled
+    # edges may bend anywhere: with its vertex images inside, it is
+    # undecided, and fails
     across = Simplex([(F(1, 8), F(1, 8)), (F(3, 4), F(1, 8))])
     low = HalfSpace((0, 1), -2)                   # x_1 > -2
     assert NeighborhoodSpec([Constraint(across, low)]).check_map(
-        sub, gamma) == (True, [{"constraint": 0, "ok": True,
-                                "mode": "sampled"}])
+        sub, gamma) == (False, [{"constraint": 0, "ok": False,
+                                 "mode": "undecided"}])
     # an edge whose first half is an edge of the complex and whose second
     # half runs inside two triangles: the first half alone does not cover
-    # it, so it is sampled, and the bent image of (2, 0) is found
+    # it, so it is checked whole, and the image of its vertex (2, 0)
+    # leaves the region exactly
     fan = SimplicialComplex([Simplex([(0, 0), (1, 0), (0, 1)]),
                              Simplex([(1, 0), (1, 1), (3, 0)]),
                              Simplex([(1, 0), (1, -1), (3, 0)])])
@@ -418,7 +422,49 @@ def test_face_constraint_on_a_refined_complex_checks_its_pieces():
     longer = Simplex([(0, 0), (2, 0)])
     assert NeighborhoodSpec([Constraint(longer, above)]).check_map(
         fan, PLMap(fan, values)) == (False, [{"constraint": 0, "ok": False,
-                                              "mode": "sampled"}])
+                                              "mode": "exact"}])
+
+
+def test_undecided_failures_name_their_cell():
+    # a union with a gap holds every vertex image of the triangle, but no
+    # hull rule places the image: the input check names the constraint
+    # and the cell.  The union of the closed upper and the open lower
+    # half plane holds the image of the bottom edge, but not the image of
+    # any top with an edge on it as one part: the constraint pass is
+    # undecided at every level
+    tri = SimplicialComplex([Simplex([(0, 0), (1, 0), (0, 1)])])
+    model = FilteredSpaceModel(Filtration(2, [(1, {0, 1})]), FullSpace(2))
+    config = EngineConfig(max_subdivision=1, t_grid=1)
+    gap = Union([HalfSpace((-1, 0), F(-1, 4)), HalfSpace((1, 0), F(3, 4))])
+    spec = NeighborhoodSpec([Constraint("all", FullSpace(2)),
+                             Constraint("all", gap)])
+    identity = PLMap(tri, {v: v for v in tri.vertices()})
+    with pytest.raises(InputError) as err:
+        simultaneous_approximation(tri, identity, spec, None, model, config)
+    assert str(err.value) == (
+        "base map violates the neighbourhood spec: constraint 1 is "
+        "undecided on the cell [(0, 0), (1, 0), (0, 1)]")
+    either = Union([HalfSpace((0, 1), 0, strict=False),
+                    HalfSpace((0, -1), 0)])
+    spec = NeighborhoodSpec([Constraint(Simplex([(0, 0), (1, 0)]), either)])
+    flip = PLMap(tri, {v: (v[0], -v[1]) for v in tri.vertices()})
+    with pytest.raises(ChartCoverError) as err:
+        simultaneous_approximation(tri, flip, spec, None, model, config)
+    assert str(err.value).endswith(
+        "at level 1 the constraint pass is undecided on the cell "
+        "[(0, 0), (1/2, 0), (1/3, 1/3)] with vertex images "
+        "[(0, 0), (1/2, 0), (1/3, -1/3)]")
+
+
+def test_engine_rejects_a_map_that_is_not_pl():
+    # with no PL structure no hull test is sound, so every constrained
+    # cell would be undecided
+    cx, corners = square_domain()
+    model = plane_model()
+    spec = NeighborhoodSpec([Constraint("all", model.carrier)])
+    with pytest.raises(InputError, match="must be a PLMap, got FuncMap"):
+        simultaneous_approximation(cx, FuncMap(loop_map(cx, corners)), spec,
+                                   None, model, CONFIG)
 
 
 def edge_constraint_patch():
@@ -495,13 +541,12 @@ def test_grid_check_finds_a_face_constraints_pieces_once(monkeypatch):
     record = individual_approximation(tri, patch, spec, None, model,
                                       alpha=1, config=CONFIG)
     assert len(volumes) == 1
-    [(engine, rows, ts, seed)] = grid_args
+    [(engine, rows, ts)] = grid_args
     grid = engine.grid.final
     afresh = []
     for k, t in enumerate(ts):
         column = [row[k] for row in rows]
-        ok, details = spec.check_map(grid, bake_on(grid, column),
-                                     rng=random.Random(seed))
+        ok, details = spec.check_map(grid, bake_on(grid, column))
         afresh.append({"t": str(t), "ok": ok, "details": details})
     assert record.grid_reports == afresh
     assert len(volumes) == 1 + len(ts) > 2
@@ -612,8 +657,8 @@ def test_grid_check_reuses_hull_verdicts_only_where_sound(monkeypatch):
     # the vertex (1, 1) out of the region of constraint 1 and keeps the
     # other objects; slice 3 has values equal to slice 2 in new objects;
     # slice 4 repeats slice 0.  Constraint 2 is a union with a gap, which
-    # the hull test cannot decide, so it samples; constraint 3 is checked
-    # on its own subset, a vertex
+    # the hull test cannot decide: it is undecided, fails, and is never
+    # reused; constraint 3 is checked on its own subset, a vertex
     grid = SimplicialComplex([Simplex([(0, 0), (1, 0), (0, 1)]),
                               Simplex([(1, 0), (0, 1), (1, 1)])])
     spec = NeighborhoodSpec([
@@ -634,23 +679,24 @@ def test_grid_check_reuses_hull_verdicts_only_where_sound(monkeypatch):
 
     def hull_tests(check):
         calls = []
-        original = HalfSpace.contains_hull
-        monkeypatch.setattr(HalfSpace, "contains_hull",
-                            lambda self, pts: calls.append(1)
-                            or original(self, pts))
+        for kind in (HalfSpace, Union):
+            original = kind.contains_hull
+            monkeypatch.setattr(kind, "contains_hull",
+                                lambda self, pts, original=original:
+                                calls.append(type(self))
+                                or original(self, pts))
         out = check()
         monkeypatch.undo()
-        return out, len(calls)
+        return out, Counter(calls)
 
     reports, tests_here = hull_tests(
-        lambda: _certify_grid(engine, rows, ts, 5))
+        lambda: _certify_grid(engine, rows, ts))
 
     def afresh():
         out = []
         for k, t in enumerate(ts):
             column = [row[k] for row in rows]
-            ok, details = spec.check_map(grid, bake_on(grid, column),
-                                         rng=random.Random(5))
+            ok, details = spec.check_map(grid, bake_on(grid, column))
             out.append({"t": str(t), "ok": ok, "details": details})
         return out
 
@@ -660,9 +706,11 @@ def test_grid_check_reuses_hull_verdicts_only_where_sound(monkeypatch):
                  if d["constraint"] == i] for i in range(4)]
     assert verdicts[0] == [True] * 5
     assert verdicts[1] == verdicts[3] == [True, True, False, False, True]
+    assert verdicts[2] == [False] * 5
     assert {d["mode"] for r in reports for d in r["details"]
-            if d["constraint"] == 2} == {"sampled"}
-    assert tests_here < tests_afresh  # verdicts were reused
+            if d["constraint"] == 2} == {"undecided"}
+    assert tests_here[HalfSpace] < tests_afresh[HalfSpace]  # reused
+    assert tests_here[Union] == tests_afresh[Union] == 5  # never reused
 
 
 QUADRANT = Intersection([HalfSpace((1, 0), 0), HalfSpace((0, 1), 0)])
@@ -703,12 +751,12 @@ def test_push_radius_decides_the_closed_ball_in_the_core(core, center,
     far = (gx[0] + (1 if radius else 0), gx[1])
     gamma = PLMap(SimplicialComplex([seg]), {(0,): gx, (1,): far})
     engine = SimpleNamespace(
-        P=NeighborhoodSpec([]),
-        tree=SimpleNamespace(base=SimplicialComplex([seg])))
+        S=[(0,)], P=NeighborhoodSpec([]),
+        tree=SubdividedComplex(SimplicialComplex([seg])))
     moved = [((0,), gx, core, None)]
+    bounds = [approximation._push_bounds((0,), engine, gamma, None)]
     eps = F(radius or 1)
-    assert approximation._epsilon_ok(eps, moved, [(0,)], engine, gamma,
-                                     None) is inside
+    assert approximation._epsilon_ok(eps, moved, bounds) is inside
 
 
 @st.composite

@@ -15,7 +15,8 @@ from ascolim.cli import main
 from ascolim.filtered_spaces import FilteredSpaceModel, Filtration
 from ascolim.geometry import Simplex
 from ascolim.invariants import LoopModel
-from ascolim.regions import CoordinatePlaneComplement, HalfSpace, OpenBall
+from ascolim.regions import (ClosedBall, CoordinatePlaneComplement,
+                             HalfSpace, OpenBall, Union)
 from ascolim.simplicial import SimplicialComplex
 
 F = Fraction
@@ -152,6 +153,20 @@ def test_validate_chart_subcommand(tmp_path, capsys):
         FilteredSpaceModel(filt, OpenBall((F(0),) * 4, 1))))
     assert main(["validate-chart", "--chart", bad_path,
                  "--model", model2]) == 4
+    # an undecided condition exits 4 too: two closed balls are neither
+    # open nor convex, so (e) and (f) are undecided
+    capsys.readouterr()
+    blobs = Union([ClosedBall((F(0),) * 4, 1), ClosedBall((F(3),) * 4, 1)])
+    both = FilteredSpaceModel(filt, blobs)
+    paths = {
+        "chart": _write(tmp_path, "u.json",
+                        ser.chart_to_obj(identity_chart(both, blobs))),
+        "model": _write(tmp_path, "mu.json", ser.model_to_obj(both)),
+    }
+    assert main(["validate-chart", "--chart", paths["chart"],
+                 "--model", paths["model"]]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["e"]["status"] == report["f"]["status"] == "undecided"
 
 
 def _pi1_fixture(tmp_path):

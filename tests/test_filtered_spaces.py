@@ -13,7 +13,8 @@ from ascolim.filtered_spaces import (CompactSample,
                                      identity_chart, quarter_core,
                                      shrink_chart, translate_chart,
                                      validate_well_filled_chart)
-from ascolim.regions import OpenBall, conv2_subset, region_subset
+from ascolim.regions import (ClosedBall, OpenBall, Union, conv2_subset,
+                             region_subset)
 
 F = Fraction
 
@@ -85,6 +86,23 @@ def test_weak_direct_limit_charts_are_well_filled():
     assert as_weak.ok and as_weak.entries["c"].status == "certified"
     as_filled = validate_well_filled_chart(chart, model)
     assert as_filled.ok
+
+
+def test_chart_neither_open_nor_convex_is_undecided():
+    # two closed balls: no regime certifies absorption and no region rule
+    # places conv_2 of the core in the image, nor the image in the top
+    # step E_1 = R x 0; those conditions are undecided, and the chart is
+    # not valid
+    filt = Filtration(2, [(1, {0})])
+    blobs = Union([ClosedBall((F(0), F(0)), 1), ClosedBall((F(3), F(0)), 1)])
+    model = FilteredSpaceModel(filt, blobs)
+    report = validate_well_filled_chart(identity_chart(model, blobs), model,
+                                        as_weak_direct_limit=True)
+    assert not report.ok
+    assert {c: e.status for c, e in report.entries.items()} == {
+        "a": "certified", "b": "certified", "d": "certified",
+        "e": "undecided", "f": "undecided", "c": "undecided"}
+    assert all(e.witness is None for e in report.entries.values())
 
 
 def test_shrink_chart_ball_arithmetic_example():
